@@ -124,7 +124,7 @@ void ablate_argmin(const BenchConfig& cfg) {
   NpdpOptions o;
   o.block_side = 64;
   Stopwatch s1;
-  const auto plain = solve_blocked_serial(inst, o);
+  const auto plain = solve_blocked(inst, o);
   const double t_plain = s1.seconds();
   volatile float sink = plain.at(0, n - 1);
   Stopwatch s2;

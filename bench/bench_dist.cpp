@@ -36,7 +36,7 @@ void run(const BenchConfig& cfg, BenchJson& json) {
 
   NpdpOptions tuning;
   tuning.block_side = bs;
-  const auto ref = solve_blocked_serial(inst, tuning);
+  const auto ref = solve_blocked(inst, tuning);
 
   std::printf("\nn=%lld, block %lld, loopback peers vs cluster model:\n",
               static_cast<long long>(n), static_cast<long long>(bs));
@@ -65,7 +65,8 @@ void run(const BenchConfig& cfg, BenchJson& json) {
                         sizeof(float)) == 0;
     if (!identical) {
       std::fprintf(stderr,
-                   "FATAL: %d-peer result differs from solve_blocked_serial\n",
+                   "FATAL: %d-peer result differs from the single-process "
+                   "solve\n",
                    peers);
       std::exit(1);
     }

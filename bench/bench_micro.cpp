@@ -8,7 +8,7 @@
 #include "layout/triangular.hpp"
 #include "simd/vec.hpp"
 #include "taskgraph/dependence_graph.hpp"
-#include "taskgraph/executor.hpp"
+#include "taskgraph/block_scheduler.hpp"
 
 namespace cellnpdp {
 namespace {
@@ -43,15 +43,17 @@ void bm_blocked_block_walk(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * cells);
 }
 
-void bm_taskqueue_schedule(benchmark::State& state) {
+void bm_block_schedule(benchmark::State& state) {
   const index_t m = state.range(0);
-  BlockDependenceGraph g(m);
+  BlockScheduler::Options o;
+  o.side = m;
   for (auto _ : state) {
+    BlockScheduler sched(o);
     index_t count = 0;
-    TaskQueueExecutor::run_serial(g, [&](index_t, index_t) { ++count; });
+    sched.run([](index_t, index_t, index_t& n) { return ++n > 0; }, &count);
     benchmark::DoNotOptimize(count);
   }
-  state.SetItemsProcessed(state.iterations() * g.task_count());
+  state.SetItemsProcessed(state.iterations() * triangle_cells(m));
 }
 
 void bm_zuker_bifurcation_row(benchmark::State& state) {
@@ -81,7 +83,7 @@ void bm_zuker_bifurcation_row(benchmark::State& state) {
 
 BENCHMARK(bm_triangular_column_walk)->Arg(1024)->Arg(4096);
 BENCHMARK(bm_blocked_block_walk)->Arg(1024)->Arg(4096);
-BENCHMARK(bm_taskqueue_schedule)->Arg(16)->Arg(64);
+BENCHMARK(bm_block_schedule)->Arg(16)->Arg(64);
 BENCHMARK(bm_zuker_bifurcation_row)->Arg(256)->Arg(2048);
 
 }  // namespace

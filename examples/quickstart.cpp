@@ -40,14 +40,14 @@ int main(int argc, char** argv) {
   opts.block_side = 64;          // memory blocks, 16 KB of floats
   opts.kernel = KernelKind::Native;
   Stopwatch sw2;
-  const auto blocked = solve_blocked_serial(inst, opts);
+  const auto blocked = solve_blocked(inst, opts);
   std::printf("blocked + SIMD         : %8.1f ms\n", sw2.seconds() * 1e3);
 
-  // 4. The parallel engine: scheduling blocks over a task queue.
+  // 4. The parallel engine: scheduling blocks on four workers.
   opts.threads = 4;
   opts.sched_side = 2;
   Stopwatch sw3;
-  const auto parallel = solve_blocked_parallel(inst, opts);
+  const auto parallel = solve_blocked(inst, opts);
   std::printf("blocked + SIMD + tasks : %8.1f ms (4 threads)\n",
               sw3.seconds() * 1e3);
 

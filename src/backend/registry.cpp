@@ -15,7 +15,6 @@
 #include "cellsim/npdp_sim.hpp"
 #include "core/reference.hpp"
 #include "core/solve.hpp"
-#include "resilience/resilient_solve.hpp"
 
 namespace cellnpdp::backend {
 
@@ -79,22 +78,21 @@ struct ReferenceBackend final : SolverBackend {
   }
 };
 
-/// Shared body of the two blocked-engine backends: honour ctx.arena when
-/// the caller provided one (serve's per-worker workspace), allocate
-/// otherwise.
-template <class SolveInto>
+/// Shared body of the blocked-engine backends: solve_blocked_into under
+/// `ctx`, into ctx.arena when the caller provided one (serve's per-worker
+/// workspace), into a fresh table otherwise.
 BackendResult solve_blocked_backend(const NpdpInstance<float>& inst,
                                     const ExecutionContext& ctx,
-                                    SolveInto&& solve_into) {
+                                    bool checksums = false) {
   BackendResult r;
   if (ctx.arena != nullptr) {
-    r.status = solve_into(*ctx.arena);
+    r.status = solve_blocked_into(*ctx.arena, inst, ctx, checksums);
     if (r.status == SolveStatus::Ok) r.value = top_value(*ctx.arena);
     return r;
   }
   auto mat = std::make_shared<BlockedTriangularMatrix<float>>(
       inst.n, ctx.tuning.block_side, semiring_zero<float>(inst.semiring));
-  r.status = solve_into(*mat);
+  r.status = solve_blocked_into(*mat, inst, ctx, checksums);
   if (r.status == SolveStatus::Ok) {
     r.value = top_value(*mat);
     r.blocked = std::move(mat);
@@ -102,7 +100,7 @@ BackendResult solve_blocked_backend(const NpdpInstance<float>& inst,
   return r;
 }
 
-/// Fig. 4(b): serial walk over the blocked triangular layout.
+/// Fig. 4(b): one worker walking the blocked triangular layout.
 struct BlockedSerialBackend final : SolverBackend {
   const char* name() const override { return "blocked-serial"; }
   Capabilities caps() const override {
@@ -117,14 +115,13 @@ struct BlockedSerialBackend final : SolverBackend {
   }
   BackendResult solve(const NpdpInstance<float>& inst,
                       const ExecutionContext& ctx) const override {
-    return solve_blocked_backend(
-        inst, ctx, [&](BlockedTriangularMatrix<float>& mat) {
-          return solve_blocked_serial_into(mat, inst, ctx);
-        });
+    ExecutionContext one = ctx;
+    one.tuning.threads = 1;
+    return solve_blocked_backend(inst, one);
   }
 };
 
-/// Tier 2: scheduling blocks through the task-queue executor.
+/// Tier 2: scheduling blocks on tuning.threads workers.
 struct BlockedParallelBackend final : SolverBackend {
   const char* name() const override { return "blocked-parallel"; }
   Capabilities caps() const override {
@@ -140,10 +137,7 @@ struct BlockedParallelBackend final : SolverBackend {
   }
   BackendResult solve(const NpdpInstance<float>& inst,
                       const ExecutionContext& ctx) const override {
-    return solve_blocked_backend(
-        inst, ctx, [&](BlockedTriangularMatrix<float>& mat) {
-          return solve_blocked_parallel_into(mat, inst, ctx);
-        });
+    return solve_blocked_backend(inst, ctx);
   }
 };
 
@@ -242,32 +236,29 @@ struct CellSimBackend final : SolverBackend {
   }
 };
 
-/// Self-checking serial solve: per-block retry + checksum repair
-/// (src/resilience). Bit-identical to blocked-serial on a clean run;
-/// under an active fault plan it detects injected throws/corruption and
-/// heals at block granularity. Retry budget follows ctx.retry when the
-/// caller set one, else the module default.
+/// Self-checking blocked solve: the blocked solve with block checksums on
+/// and a retry budget of 4 attempts unless ctx.retry sets one.
+/// Bit-identical to blocked-serial on a clean run; under an active fault
+/// plan it detects injected throws/corruption and heals at block
+/// granularity.
 struct ResilientBackend final : SolverBackend {
   const char* name() const override { return "resilient"; }
   Capabilities caps() const override {
     Capabilities c;
     c.double_precision = true;
     c.weighted = true;
+    c.parallel = true;
     c.cancellable = true;
     c.arena = true;
     c.self_checking = true;
+    c.semirings = kAllSemirings;
     return c;
   }
   BackendResult solve(const NpdpInstance<float>& inst,
                       const ExecutionContext& ctx) const override {
-    require_semiring(*this, inst);
-    resilience::BlockRecoveryPolicy pol;
-    if (ctx.retry.enabled()) pol.retry = ctx.retry;
-    return solve_blocked_backend(
-        inst, ctx, [&](BlockedTriangularMatrix<float>& mat) {
-          return resilience::solve_blocked_serial_resilient_into(mat, inst,
-                                                                 ctx, pol);
-        });
+    ExecutionContext healing = ctx;
+    if (!healing.retry.enabled()) healing.retry.max_attempts = 4;
+    return solve_blocked_backend(inst, healing, /*checksums=*/true);
   }
 };
 

@@ -22,7 +22,7 @@
 #include "cellsim/work_model.hpp"
 #include "core/engine.hpp"
 #include "core/instance.hpp"
-#include "taskgraph/dependence_graph.hpp"
+#include "taskgraph/block_scheduler.hpp"
 
 namespace cellnpdp {
 
@@ -155,8 +155,8 @@ CellSimResult simulate_cellnpdp(const NpdpInstance<T>& inst,
                 cfg.dma_overhead_bytes);
   const index_t ss = opts.sched_side < 1 ? 1 : opts.sched_side;
   const index_t ms = ceil_div(m, ss);
-  BlockDependenceGraph graph(ms);
-  ReadyTracker tracker(graph);
+  BlockTracker tracker(ms);
+  const BlockDependenceGraph& graph = tracker.graph();
 
   struct Step {
     index_t bi, bj;
@@ -236,7 +236,9 @@ CellSimResult simulate_cellnpdp(const NpdpInstance<T>& inst,
           wf_remaining = static_cast<index_t>(ready_tasks.size());
         }
       } else {
-        for (index_t next : tracker.complete(id)) ready_tasks.push_back(next);
+        const auto [si, sj] = graph.coords(id);
+        tracker.finish(si, sj,
+                       [&](index_t next) { ready_tasks.push_back(next); });
       }
       idle_spes.push_back(s);
       dispatch();

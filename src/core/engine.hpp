@@ -14,11 +14,8 @@
 // itself and scalar triangular tiles on the tile diagonal.
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <stdexcept>
 
 #include "common/aligned.hpp"
@@ -28,9 +25,11 @@
 
 namespace cellnpdp {
 
-/// Work counters, filled when a stats sink is attached to the engine. Used
-/// by the utilization accounting of the benches and to validate the
-/// simulator's closed-form work model against the real engine.
+/// Work counters, filled when compute_block is given a sink. Each
+/// scheduler worker counts into its own copy (taskgraph/block_scheduler.hpp)
+/// and the copies are summed at join. Used by the utilization accounting
+/// of the benches and to validate the simulator's closed-form work model
+/// against the real engine.
 struct EngineStats {
   index_t kernel_calls = 0;    ///< WxW computing-block kernel invocations
   index_t corner_relax = 0;    ///< scalar relaxations in corner passes
@@ -46,47 +45,6 @@ struct EngineStats {
     cells_finalized += o.cells_finalized;
     return *this;
   }
-};
-
-/// Per-thread EngineStats shards, merged on demand. Workers obtain their
-/// shard once per task via local() (a thread-local cache, no lock on the
-/// happy path) and bump it without synchronisation; merged() sums every
-/// shard. This is what lets the parallel solvers account work without
-/// serialising the hot kernel loop on shared counters.
-class EngineStatsSink {
- public:
-  /// The calling thread's shard (created on first use). The cache is
-  /// keyed by a never-reused sink id, so a stale pointer into a destroyed
-  /// sink can never be returned for a newer sink at the same address.
-  EngineStats& local() {
-    thread_local std::uint64_t cached_id = 0;
-    thread_local EngineStats* cached = nullptr;
-    if (cached_id != id_) {
-      std::lock_guard lk(mu_);
-      shards_.emplace_back();
-      cached = &shards_.back();
-      cached_id = id_;
-    }
-    return *cached;
-  }
-
-  /// Sum of every shard. Call after the parallel region has joined.
-  EngineStats merged() const {
-    std::lock_guard lk(mu_);
-    EngineStats total;
-    for (const EngineStats& s : shards_) total += s;
-    return total;
-  }
-
- private:
-  static std::uint64_t next_sink_id() {
-    static std::atomic<std::uint64_t> n{0};
-    return ++n;
-  }
-
-  const std::uint64_t id_ = next_sink_id();
-  mutable std::mutex mu_;
-  std::deque<EngineStats> shards_;  // deque: stable addresses
 };
 
 /// The blocked engine, generic over a semiring S (see simd/semiring.hpp).
@@ -204,12 +162,6 @@ class BlockEngine {
   index_t tiles_per_side() const { return tb_; }
   index_t kernel_width() const { return kern_.width; }
 
-  /// Attaches a default work-counter sink, used by compute_block calls
-  /// that do not pass an explicit per-thread sink. For multi-threaded
-  /// runs pass each worker its own EngineStats (see EngineStatsSink)
-  /// through the compute_block overload instead.
-  void set_stats(EngineStats* stats) { stats_ = stats; }
-
   /// Attaches an argmin table (same geometry as the value matrix). Each
   /// cell ends up holding, as a T, the k index whose relaxation produced
   /// the final value, or -1 if the seed/init value survived. Must be
@@ -225,14 +177,9 @@ class BlockEngine {
 
   /// Relaxes memory block (bi,bj). Every block it depends on — all (bi,k)
   /// and (k,bj) with bi <= k <= bj other than itself — must be final.
-  /// Uses the sink attached with set_stats (if any).
-  void compute_block(index_t bi, index_t bj) {
-    compute_block(bi, bj, stats_);
-  }
-
-  /// As above with an explicit work-counter sink, so concurrent workers
-  /// can each count into their own shard (EngineStatsSink::local()).
-  void compute_block(index_t bi, index_t bj, EngineStats* st) {
+  /// Counts work into `st` when given (the caller's own copy: concurrent
+  /// workers must not share one).
+  void compute_block(index_t bi, index_t bj, EngineStats* st = nullptr) {
     T* Cb = mat_->block(bi, bj);
     const index_t row0 = bi * bs_;
     const index_t col0 = bj * bs_;
@@ -509,7 +456,6 @@ class BlockEngine {
   CbKernel<T> kern_;
   bool general_;
   bool ktg_ = false;
-  EngineStats* stats_ = nullptr;
   BlockedTriangularMatrix<T>* argm_ = nullptr;
   aligned_vector<T> ku_, kv_, kw_;  // padded copies; empty when no k-term
 };

@@ -1,21 +1,19 @@
 // ExecutionContext: the one bundle of cross-cutting solve state threaded
 // through every solve path — cancellation token + deadline, the stats sink
 // for observability, engine tuning parameters, an optional reusable arena,
-// and an optional shared thread pool. Before this existed each entry point
-// (serial, task-queue, wavefront, baselines, serve) plumbed its own ad-hoc
-// subset; the SolverBackend registry (src/backend) passes exactly one of
-// these to whichever engine the caller resolved by name.
+// and the per-block retry budget. The SolverBackend registry (src/backend)
+// passes exactly one of these to whichever engine the caller resolved by
+// name.
 #pragma once
 
 #include <chrono>
-#include <vector>
 
 #include "common/cancel.hpp"
 #include "common/retry.hpp"
-#include "common/thread_pool.hpp"
 #include "core/engine.hpp"
 #include "core/instance.hpp"
 #include "layout/blocked.hpp"
+#include "taskgraph/block_scheduler.hpp"
 
 namespace cellnpdp {
 
@@ -28,28 +26,14 @@ constexpr const char* solve_status_name(SolveStatus s) {
   return s == SolveStatus::Ok ? "ok" : "cancelled";
 }
 
-/// Telemetry of one solve: wall time, per-worker busy time (from the
-/// executor or pool) and the merged engine work counters. Attach to an
-/// ExecutionContext (or pass to a legacy entry point) to enable
-/// collection; all fields cost a couple of clock reads per scheduling
-/// block, nothing on the kernel path beyond the counters.
-struct SolveStats {
-  double wall_seconds = 0;
-  std::vector<double> worker_busy;    ///< seconds inside task bodies
-  std::vector<index_t> worker_tasks;  ///< tasks per worker (task-queue only)
-  index_t tasks = 0;
-  EngineStats engine;                 ///< merged across workers
-
-  double busy_total() const {
-    double s = 0;
-    for (double b : worker_busy) s += b;
-    return s;
-  }
-  /// Mean worker occupancy in [0,1].
-  double utilization() const {
-    if (wall_seconds <= 0 || worker_busy.empty()) return 0;
-    return busy_total() / (wall_seconds * double(worker_busy.size()));
-  }
+/// Telemetry of one solve: the scheduler's wall, per-worker busy and
+/// stall time, the engine work counters summed over workers, and what
+/// recovery did. Attach to an ExecutionContext to enable collection; it
+/// costs nothing on the kernel path beyond the counters.
+struct SolveStats : ScheduleStats {
+  EngineStats engine;         ///< summed across workers
+  index_t block_retries = 0;  ///< block re-runs after a thrown fault
+  index_t block_repairs = 0;  ///< block re-runs after a checksum mismatch
 };
 
 struct ExecutionContext {
@@ -69,13 +53,9 @@ struct ExecutionContext {
   /// of the same shape. Must match the instance/tuning geometry when set.
   BlockedTriangularMatrix<float>* arena = nullptr;
 
-  /// Optional shared worker pool for pool-based schedules (wavefront,
-  /// Tan). Null: the solver creates a pool of tuning.threads workers.
-  ThreadPool* pool = nullptr;
-
-  /// Per-task re-execution on failure (default: disabled). When enabled,
-  /// the task-queue solvers re-seed and re-run a scheduling block whose
-  /// body threw, up to retry.max_attempts, instead of aborting the solve.
+  /// Per-block re-execution on failure (default: disabled). When enabled,
+  /// the blocked solve re-seeds and re-runs a memory block whose
+  /// relaxation threw, up to retry.max_attempts, instead of aborting.
   RetryPolicy retry;
 
   bool cancelled() const { return cancel.cancelled(); }

@@ -1,9 +1,14 @@
-// Top-level solvers: the public entry points of the library.
+// Top-level blocked solve: the public entry point of the library.
 //
-// Every solver comes in two forms: an ExecutionContext form — the unified
-// entry point carrying cancellation/deadline, tuning, the stats sink, and
-// optional arena/pool, returning a SolveStatus — and a legacy
-// (opts, stats) form kept source-compatible for callers that never cancel.
+// solve_blocked_into(mat, inst, ctx) runs every blocked configuration —
+// one worker or many, with or without block retry and checksum repair —
+// as one per-block step driven by the one block scheduler
+// (taskgraph/block_scheduler.hpp); solve_blocked(inst, opts, stats) is its
+// allocating form. A task is a scheduling block of tuning.sched_side x
+// sched_side memory blocks, walked inside in the Fig. 4(b) order: columns
+// ascending, rows descending. With one worker and sched_side 1 the whole
+// solve walks the Fig. 4(b) order on the calling thread.
+//
 // Cancellation is polled at memory-block granularity (one relaxed atomic
 // load per block, nothing on the kernel path): a cancelled solve returns
 // SolveStatus::Cancelled with a partial but never torn matrix — every
@@ -11,299 +16,182 @@
 #pragma once
 
 #include <algorithm>
-#include <vector>
+#include <atomic>
+#include <memory>
+#include <thread>
 
-#include "common/stopwatch.hpp"
-#include "common/thread_pool.hpp"
+#include "common/fault_hook.hpp"
 #include "core/engine.hpp"
 #include "core/execution_context.hpp"
 #include "core/instance.hpp"
 #include "layout/blocked.hpp"
+#include "layout/checksum.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "taskgraph/dependence_graph.hpp"
-#include "taskgraph/executor.hpp"
+#include "taskgraph/block_scheduler.hpp"
 
 namespace cellnpdp {
 
 namespace detail {
 
-/// The serial driver, compiled once per (T, S) pair.
-template <class S, class T>
-SolveStatus solve_blocked_serial_into_s(BlockedTriangularMatrix<T>& mat,
-                                        const NpdpInstance<T>& inst,
-                                        const ExecutionContext& ctx) {
-  SolveStats* ss = ctx.stats;
-  BlockEngine<T, S> engine(mat, inst, ctx.tuning);
-  engine.seed();
-  const index_t m = engine.blocks_per_side();
-  Stopwatch sw;
-  EngineStats* st = ss != nullptr ? &ss->engine : nullptr;
-  SolveStatus status = SolveStatus::Ok;
-  index_t done = 0;
-  for (index_t bj = 0; bj < m && status == SolveStatus::Ok; ++bj) {
-    for (index_t bi = bj; bi >= 0; --bi) {
-      if (ctx.poll()) {
-        status = SolveStatus::Cancelled;
-        break;
-      }
-      engine.compute_block(bi, bj, st);
-      ++done;
-    }
-  }
-  if (ss != nullptr) {
-    ss->wall_seconds = sw.seconds();
-    ss->worker_busy = {ss->wall_seconds};
-    ss->tasks = done;
-    ss->worker_tasks = {done};
-  }
-  return status;
-}
-
-}  // namespace detail
-
-/// Serial blocked solve into a caller-owned matrix, which must already
-/// match the instance/context geometry and hold the semiring zero in
-/// every cell (freshly constructed or reset() with the right pad). Lets a
-/// serving layer reuse one arena allocation across many requests of the
-/// same shape. Dispatches on inst.semiring; each instantiation runs the
-/// same driver with the S-specialised engine.
+/// Test/bench hook: fires the BlockCorrupt site and, when it fires,
+/// scribbles deterministic garbage over the first half of the block —
+/// modelling a torn DMA. The garbage is negative, below any reachable
+/// cell value, so it cannot be silently absorbed by further min()s; only
+/// detection and re-seeding fix it.
 template <class T>
-SolveStatus solve_blocked_serial_into(BlockedTriangularMatrix<T>& mat,
-                                      const NpdpInstance<T>& inst,
-                                      const ExecutionContext& ctx) {
-  CELLNPDP_TRACE_SPAN("solve", "solve_blocked_serial");
-  return with_semiring<T>(inst.semiring, [&](auto s) {
-    return detail::solve_blocked_serial_into_s<decltype(s)>(mat, inst, ctx);
-  });
+void maybe_corrupt_block(BlockedTriangularMatrix<T>& mat, index_t bi,
+                         index_t bj) {
+  FaultHook* hook = fault_hook();
+  if (hook == nullptr || !hook->fire(FaultSite::BlockCorrupt, bi, bj)) return;
+  T* b = mat.block(bi, bj);
+  const index_t half = mat.cells_per_block() / 2;
+  for (index_t c = 0; c < half; ++c)
+    b[c] = static_cast<T>(-1e6) - static_cast<T>(c % 97);
 }
 
-/// Legacy form (no cancellation).
-template <class T>
-void solve_blocked_serial_into(BlockedTriangularMatrix<T>& mat,
-                               const NpdpInstance<T>& inst,
-                               const NpdpOptions& opts,
-                               SolveStats* ss = nullptr) {
-  ExecutionContext ctx;
-  ctx.tuning = opts;
-  ctx.stats = ss;
-  solve_blocked_serial_into(mat, inst, ctx);
-}
+/// Runs a seeded engine over `sched`, whose task (si,sj) covers the
+/// sched_side-square of memory blocks at (si,sj), walked columns
+/// ascending, rows descending. Every memory block goes through the one
+/// per-block step. In order: cancel poll; the relaxation, re-run after a
+/// re-seed when it throws and ctx.retry allows; with checksums, a
+/// record/verify round-trip that re-seeds and recomputes a corrupted
+/// block; work counted into the calling worker's own EngineStats; then
+/// on_finished(bi, bj). Re-execution always re-seeds first: general-mode
+/// finalize_cell is not idempotent, and a re-seeded block re-reads exactly
+/// what its first run read (its inputs are final), so it lands
+/// bit-identical. Fills ctx.stats (when set). Returns true when every task
+/// of the triangle finished; rethrows a block that failed past its
+/// retries.
+template <class T, class S, class OnFinished>
+bool run_blocks(BlockScheduler& sched, BlockEngine<T, S>& engine,
+                BlockedTriangularMatrix<T>& mat, const ExecutionContext& ctx,
+                index_t sched_side, bool checksums, OnFinished&& on_finished) {
+  static obs::Counter& retries_ctr =
+      obs::metrics().counter("sched.block_retries");
+  static obs::Counter& repairs_ctr =
+      obs::metrics().counter("sched.block_repairs");
+  std::unique_ptr<BlockChecksums<T>> sums;
+  if (checksums) sums = std::make_unique<BlockChecksums<T>>(mat);
+  std::atomic<index_t> retries{0}, repairs{0};
+  const int max_attempts = ctx.retry.enabled() ? ctx.retry.max_attempts : 1;
 
-/// Serial blocked solver: the Fig. 4(b) flowchart — memory blocks walked
-/// column-ascending, row-descending.
-template <class T>
-BlockedTriangularMatrix<T> solve_blocked_serial(const NpdpInstance<T>& inst,
-                                                const NpdpOptions& opts,
-                                                SolveStats* ss = nullptr) {
-  BlockedTriangularMatrix<T> mat(inst.n, opts.block_side,
-                                 semiring_zero<T>(inst.semiring));
-  solve_blocked_serial_into(mat, inst, opts, ss);
-  return mat;
-}
-
-namespace detail {
-
-/// The task-queue parallel driver, compiled once per (T, S) pair.
-template <class S, class T>
-SolveStatus solve_blocked_parallel_into_s(BlockedTriangularMatrix<T>& mat,
-                                          const NpdpInstance<T>& inst,
-                                          const ExecutionContext& ctx) {
-  const NpdpOptions& opts = ctx.tuning;
-  SolveStats* ss = ctx.stats;
-  BlockEngine<T, S> engine(mat, inst, opts);
-  engine.seed();
-
-  const index_t m = engine.blocks_per_side();
-  const index_t ss_side = std::max<index_t>(1, opts.sched_side);
-  const index_t ms = ceil_div(m, ss_side);
-  BlockDependenceGraph graph(ms);
-
-  EngineStatsSink sink;
-  const bool want_stats = ss != nullptr;
-
-  // One task = one scheduling block; its memory blocks are walked in the
-  // same column-ascending / row-descending order (paper §IV-B). Each
-  // worker counts into its own stats shard (merged below).
-  auto body = [&](index_t si, index_t sj) {
-    EngineStats* st = want_stats ? &sink.local() : nullptr;
-    const index_t col_lo = sj * ss_side,
-                  col_hi = std::min(m, (sj + 1) * ss_side);
-    const index_t row_lo = si * ss_side,
-                  row_hi = std::min(m, (si + 1) * ss_side);
-    for (index_t bj = col_lo; bj < col_hi; ++bj)
-      for (index_t bi = std::min(bj, row_hi - 1); bi >= row_lo; --bi) {
-        if (ctx.poll()) return;  // dependents are never released
+  auto relax_with_retry = [&](index_t bi, index_t bj, EngineStats* st) {
+    for (int attempt = 1;; ++attempt) {
+      try {
+        maybe_inject_task_fault(bi, bj);
         engine.compute_block(bi, bj, st);
+        return;
+      } catch (...) {
+        if (attempt >= max_attempts || ctx.cancelled()) throw;
       }
+      ++retries;
+      retries_ctr.add();
+      CELLNPDP_TRACE_INSTANT("sched", "block_retry", bi, bj);
+      const auto delay = ctx.retry.backoff(
+          attempt + 1, (static_cast<std::uint64_t>(bi) << 32) ^
+                           static_cast<std::uint64_t>(bj));
+      if (delay.count() > 0) std::this_thread::sleep_for(delay);
+      engine.seed_block(bi, bj);
+    }
   };
-
-  // Optional per-task recovery: a scheduling block whose body threw is
-  // re-seeded (every memory block back to its post-seed() state) and
-  // re-run. Safe because dependents are only released on task success, so
-  // nobody has read the half-written blocks, and peers never write them.
-  TaskRecovery rec;
-  const TaskRecovery* recp = nullptr;
-  if (ctx.retry.enabled()) {
-    rec.retry = ctx.retry;
-    rec.reset = [&engine, m, ss_side](index_t si, index_t sj) {
-      const index_t col_lo = sj * ss_side,
-                    col_hi = std::min(m, (sj + 1) * ss_side);
-      const index_t row_lo = si * ss_side,
-                    row_hi = std::min(m, (si + 1) * ss_side);
-      for (index_t bj = col_lo; bj < col_hi; ++bj)
-        for (index_t bi = std::min(bj, row_hi - 1); bi >= row_lo; --bi)
-          engine.seed_block(bi, bj);
-    };
-    recp = &rec;
-  }
-
-  ExecutorStats es;
-  ExecutorStats* esp = want_stats ? &es : nullptr;
-  bool completed;
-  if (opts.threads <= 1) {
-    const auto order = TaskQueueExecutor::run_serial(graph, body, esp,
-                                                     ctx.cancel, recp);
-    completed = static_cast<index_t>(order.size()) == graph.task_count() &&
-                !ctx.cancelled();
-  } else {
-    completed = TaskQueueExecutor::run(graph, opts.threads, body, esp,
-                                       ctx.cancel, recp) &&
-                !ctx.cancelled();
-  }
-  if (want_stats) {
-    ss->wall_seconds = es.wall_seconds;
-    ss->worker_busy = std::move(es.worker_busy);
-    ss->worker_tasks = std::move(es.worker_tasks);
-    ss->tasks = es.tasks;
-    ss->engine = sink.merged();
-  }
-  return completed ? SolveStatus::Ok : SolveStatus::Cancelled;
-}
-
-}  // namespace detail
-
-/// Parallel blocked solve into a caller-owned (freshly reset) matrix:
-/// tier 2 of CellNPDP — scheduling blocks of sched_side x sched_side
-/// memory blocks dispatched through the simplified dependence graph onto
-/// tuning.threads workers. Each task body polls the cancel token per
-/// memory block; the executor stops releasing tasks once it trips.
-template <class T>
-SolveStatus solve_blocked_parallel_into(BlockedTriangularMatrix<T>& mat,
-                                        const NpdpInstance<T>& inst,
-                                        const ExecutionContext& ctx) {
-  CELLNPDP_TRACE_SPAN("solve", "solve_blocked_parallel");
-  return with_semiring<T>(inst.semiring, [&](auto s) {
-    return detail::solve_blocked_parallel_into_s<decltype(s)>(mat, inst,
-                                                              ctx);
-  });
-}
-
-/// Parallel blocked solver (allocating form, legacy signature).
-template <class T>
-BlockedTriangularMatrix<T> solve_blocked_parallel(const NpdpInstance<T>& inst,
-                                                  const NpdpOptions& opts,
-                                                  SolveStats* ss = nullptr) {
-  BlockedTriangularMatrix<T> mat(inst.n, opts.block_side,
-                                 semiring_zero<T>(inst.semiring));
-  ExecutionContext ctx;
-  ctx.tuning = opts;
-  ctx.stats = ss;
-  solve_blocked_parallel_into(mat, inst, ctx);
-  return mat;
-}
-
-namespace detail {
-
-/// The wavefront driver, compiled once per (T, S) pair.
-template <class S, class T>
-SolveStatus solve_blocked_wavefront_into_s(BlockedTriangularMatrix<T>& mat,
-                                           const NpdpInstance<T>& inst,
-                                           const ExecutionContext& ctx) {
-  const NpdpOptions& opts = ctx.tuning;
-  SolveStats* ss = ctx.stats;
-  BlockEngine<T, S> engine(mat, inst, opts);
-  engine.seed();
+  auto step = [&](index_t bi, index_t bj, EngineStats& local) {
+    if (ctx.poll()) return false;
+    EngineStats* st = ctx.stats != nullptr ? &local : nullptr;
+    if (fault_hook() == nullptr) {
+      // Hot path: no try region around the kernel. compute_block itself
+      // does not throw; the retry scaffolding exists for the fault harness
+      // (and for genuinely transient failures on faulty hardware).
+      engine.compute_block(bi, bj, st);
+    } else {
+      relax_with_retry(bi, bj, st);
+    }
+    if (sums != nullptr) {
+      sums->record(bi, bj);
+      maybe_corrupt_block(mat, bi, bj);
+      if (!sums->verify(bi, bj)) {
+        ++repairs;
+        repairs_ctr.add();
+        CELLNPDP_TRACE_INSTANT("sched", "block_repair", bi, bj);
+        engine.seed_block(bi, bj);
+        engine.compute_block(bi, bj, st);
+        sums->record(bi, bj);
+      }
+    }
+    on_finished(bi, bj);
+    return true;
+  };
   const index_t m = engine.blocks_per_side();
-  std::unique_ptr<ThreadPool> owned;
-  ThreadPool* pool = ctx.pool;
-  if (pool == nullptr) {
-    owned = std::make_unique<ThreadPool>(opts.threads);
-    pool = owned.get();
+  auto task = [&](index_t si, index_t sj, EngineStats& local) {
+    const index_t col_hi = std::min(m, (sj + 1) * sched_side);
+    const index_t row_lo = si * sched_side;
+    const index_t row_hi = std::min(m, (si + 1) * sched_side);
+    for (index_t bj = sj * sched_side; bj < col_hi; ++bj)
+      for (index_t bi = std::min(bj, row_hi - 1); bi >= row_lo; --bi)
+        if (!step(bi, bj, local)) return false;
+    return true;
+  };
+  EngineStats total;
+  const bool complete = sched.run(task, &total, ctx.stats);
+  if (ctx.stats != nullptr) {
+    ctx.stats->engine = total;
+    ctx.stats->block_retries = retries.load();
+    ctx.stats->block_repairs = repairs.load();
   }
-  EngineStatsSink sink;
-  const bool want_stats = ss != nullptr;
-  Stopwatch sw;
-  SolveStatus status = SolveStatus::Ok;
-  for (index_t d = 0; d < m && status == SolveStatus::Ok; ++d) {
-    pool->parallel_for(0, static_cast<std::size_t>(m - d),
-                       [&](std::size_t bi) {
-                         if (ctx.poll()) return;
-                         EngineStats* st =
-                             want_stats ? &sink.local() : nullptr;
-                         engine.compute_block(static_cast<index_t>(bi),
-                                              static_cast<index_t>(bi) + d,
-                                              st);
-                       });
-    if (ctx.cancel.poll_deadline_now()) status = SolveStatus::Cancelled;
-  }
-  if (want_stats) {
-    ss->wall_seconds = sw.seconds();
-    ss->worker_busy = pool->busy_seconds();
-    ss->tasks = triangle_cells(m);
-    ss->engine = sink.merged();
-  }
-  return status;
+  return complete;
+}
+
+/// Solves with a seeded engine on this process alone: every task owned,
+/// tuning.threads workers.
+template <class T, class S>
+SolveStatus solve_seeded(BlockEngine<T, S>& engine,
+                         BlockedTriangularMatrix<T>& mat,
+                         const ExecutionContext& ctx, bool checksums) {
+  const index_t ss = std::max<index_t>(1, ctx.tuning.sched_side);
+  BlockScheduler::Options o;
+  o.side = ceil_div(engine.blocks_per_side(), ss);
+  o.workers = ctx.tuning.threads;
+  BlockScheduler sched(o);
+  return run_blocks(sched, engine, mat, ctx, ss, checksums,
+                    [](index_t, index_t) {})
+             ? SolveStatus::Ok
+             : SolveStatus::Cancelled;
 }
 
 }  // namespace detail
 
-/// Alternative tier-2 schedule: block anti-diagonals processed step by
-/// step with a barrier between steps (the structure of the prior works the
-/// paper improves on, §II-B). Blocks within one wavefront are mutually
-/// independent; the barrier is the cost this schedule pays. Uses (and
-/// never destroys) ctx.pool when provided; cancellation is observed
-/// between blocks and between wavefront steps.
-template <class T>
-SolveStatus solve_blocked_wavefront_into(BlockedTriangularMatrix<T>& mat,
-                                         const NpdpInstance<T>& inst,
-                                         const ExecutionContext& ctx) {
-  CELLNPDP_TRACE_SPAN("solve", "solve_blocked_wavefront");
-  return with_semiring<T>(inst.semiring, [&](auto s) {
-    return detail::solve_blocked_wavefront_into_s<decltype(s)>(mat, inst,
-                                                               ctx);
-  });
-}
-
-template <class T>
-BlockedTriangularMatrix<T> solve_blocked_wavefront(
-    const NpdpInstance<T>& inst, const NpdpOptions& opts,
-    SolveStats* ss = nullptr) {
-  BlockedTriangularMatrix<T> mat(inst.n, opts.block_side,
-                                 semiring_zero<T>(inst.semiring));
-  ExecutionContext ctx;
-  ctx.tuning = opts;
-  ctx.stats = ss;
-  solve_blocked_wavefront_into(mat, inst, ctx);
-  return mat;
-}
-
-/// Convenience dispatcher over the context's thread count.
+/// Blocked solve into a caller-owned matrix, which must already match the
+/// instance/context geometry and hold the semiring zero in every cell
+/// (freshly constructed or reset() with the right pad) — so a serving
+/// layer can reuse one arena across requests of the same shape. Runs
+/// ctx.tuning.threads workers; re-runs a block that throws up to
+/// ctx.retry.max_attempts; with `checksums`, verifies every block after
+/// relaxation and repairs a mismatch. Dispatches on inst.semiring.
 template <class T>
 SolveStatus solve_blocked_into(BlockedTriangularMatrix<T>& mat,
                                const NpdpInstance<T>& inst,
-                               const ExecutionContext& ctx) {
-  return ctx.tuning.threads <= 1
-             ? solve_blocked_serial_into(mat, inst, ctx)
-             : solve_blocked_parallel_into(mat, inst, ctx);
+                               const ExecutionContext& ctx,
+                               bool checksums = false) {
+  CELLNPDP_TRACE_SPAN("solve", "solve_blocked");
+  return with_semiring<T>(inst.semiring, [&](auto s) {
+    BlockEngine<T, decltype(s)> engine(mat, inst, ctx.tuning);
+    engine.seed();
+    return detail::solve_seeded(engine, mat, ctx, checksums);
+  });
 }
 
-/// Convenience dispatcher (legacy signature).
+/// Allocating form: solves into a fresh matrix and returns it.
 template <class T>
 BlockedTriangularMatrix<T> solve_blocked(const NpdpInstance<T>& inst,
                                          const NpdpOptions& opts,
                                          SolveStats* ss = nullptr) {
-  return opts.threads <= 1 ? solve_blocked_serial(inst, opts, ss)
-                           : solve_blocked_parallel(inst, opts, ss);
+  BlockedTriangularMatrix<T> mat(inst.n, opts.block_side,
+                                 semiring_zero<T>(inst.semiring));
+  ExecutionContext ctx;
+  ctx.tuning = opts;
+  ctx.stats = ss;
+  solve_blocked_into(mat, inst, ctx);
+  return mat;
 }
 
 }  // namespace cellnpdp

@@ -25,9 +25,10 @@ struct NpdpSolution {
   }
 };
 
-/// Solves with argmin tracking (serial blocked engine), honouring the
-/// context's cancel token at memory-block granularity. On Cancelled the
-/// solution holds a partial (never torn) pair of tables.
+/// Solves with argmin tracking over the block scheduler (ctx.tuning
+/// threads), honouring the context's cancel token at memory-block
+/// granularity. On Cancelled the solution holds a partial (never torn)
+/// pair of tables.
 template <class T>
 SolveStatus solve_blocked_with_argmin_into(NpdpSolution<T>& sol,
                                            const NpdpInstance<T>& inst,
@@ -35,16 +36,10 @@ SolveStatus solve_blocked_with_argmin_into(NpdpSolution<T>& sol,
   BlockEngine<T> engine(sol.values, inst, ctx.tuning);
   engine.set_argmin(&sol.argmin);
   engine.seed();
-  const index_t m = engine.blocks_per_side();
-  for (index_t bj = 0; bj < m; ++bj)
-    for (index_t bi = bj; bi >= 0; --bi) {
-      if (ctx.poll()) return SolveStatus::Cancelled;
-      engine.compute_block(bi, bj);
-    }
-  return SolveStatus::Ok;
+  return detail::solve_seeded(engine, sol.values, ctx, /*checksums=*/false);
 }
 
-/// Solves with argmin tracking (serial blocked engine).
+/// Solves with argmin tracking (allocating form).
 template <class T>
 NpdpSolution<T> solve_blocked_with_argmin(const NpdpInstance<T>& inst,
                                           const NpdpOptions& opts) {

@@ -4,52 +4,54 @@
 // broadcasts each finished block to every other peer as a BlockAnnounce
 // + BlockData pair. Received blocks are checksum-verified and memcpy'd
 // into the local slab, so every peer ends the solve holding the complete
-// assembled matrix — bit-identical to solve_blocked_serial, because an
-// owned block is only relaxed once its full input set is final and
+// assembled matrix — bit-identical to the single-process solve, because
+// an owned block is only relaxed once its full input set is final and
 // remote blocks are exact byte copies of the bytes their owner computed.
 //
-// There is no antidiagonal barrier anywhere: the DistTracker releases an
-// owned block the moment its last input (local or remote) lands, so a
-// peer's compute overlaps other peers' compute and the wire transfer of
-// finished blocks.
+// The schedule is the one block scheduler (taskgraph/block_scheduler.hpp)
+// with memory-block tasks and column-cyclic ownership: receivers hand
+// each verified block to BlockScheduler::arrive, which releases an owned
+// block the moment its last input (local or remote) lands — no
+// antidiagonal barrier, so a peer's compute overlaps other peers'
+// compute and the wire transfer of finished blocks. tuning.threads
+// workers (the calling thread is worker 0) run the per-block step, whose
+// on-finished hook broadcasts the block; the announce and data of one
+// block leave from one worker, so Announce precedes Data on every
+// connection (PeerGroup sends are per-connection serialised). PeerDone
+// follows once every block is visible, so it comes after the last owned
+// block everywhere.
 //
-// Threading per peer: PeerGroup runs one receiver thread per connection;
-// receivers verify + memcpy remote blocks and push events into a mutex +
-// condvar inbox that the single solver loop drains. The solver loop does
-// all tracker updates and all sends (per-connection FIFO keeps Announce
-// before Data and PeerDone after the last block). With tuning.threads >
-// 1 the block relaxations themselves fan out over a ThreadPool; the
-// finished-block event rides the same inbox, so every cross-thread
-// handoff is a mutex chain (TSan-clean by construction).
-//
-// Failure: a peer dying mid-solve surfaces as a receiver error event or
-// a send failure, and the solve throws DistError promptly — never a hang
-// and never a partial matrix reported as success. Recovery is
-// restart-and-resolve: instances are regenerated deterministically from
-// the seed, so rerunning the whole group reproduces the identical
-// result (docs/distributed.md).
+// Failure: a peer dying mid-solve surfaces as a receiver error or a send
+// failure, which fails the scheduler run, and the solve throws DistError
+// promptly — never a hang and never a partial matrix reported as
+// success. A rank with no owned block ready or running and no arrival
+// for stall_timeout_ms throws too. Recovery is restart-and-resolve:
+// instances are regenerated deterministically from the seed, so
+// rerunning the whole group reproduces the identical result
+// (docs/distributed.md).
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
-#include <deque>
+#include <exception>
 #include <map>
-#include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "common/stopwatch.hpp"
-#include "common/thread_pool.hpp"
 #include "core/engine.hpp"
 #include "core/execution_context.hpp"
 #include "core/instance.hpp"
-#include "dist/dist_tracker.hpp"
+#include "core/solve.hpp"
 #include "dist/peer_group.hpp"
 #include "dist/peer_wire.hpp"
 #include "layout/blocked.hpp"
+#include "layout/checksum.hpp"
 #include "obs/metrics.hpp"
-#include "resilience/checksum.hpp"
+#include "taskgraph/block_scheduler.hpp"
 
 namespace cellnpdp::dist {
 
@@ -60,8 +62,8 @@ struct DistOptions {
   /// (workload seed, instance mode); peers must agree or the handshake
   /// fails.
   std::uint64_t config_hash = 0;
-  /// No event and no computable block for this long aborts the solve —
-  /// a wedged peer must become an error, not a hang.
+  /// No owned block ready or running and no arrival for this long aborts
+  /// the solve — a wedged peer must become an error, not a hang.
   int stall_timeout_ms = 60000;
 };
 
@@ -74,14 +76,14 @@ struct DistStats {
   std::uint64_t bytes_received = 0;
   std::uint64_t messages_sent = 0;
   double wall_seconds = 0;
-  double stall_seconds = 0;  ///< solver loop idle, waiting on remote input
+  double stall_seconds = 0;  ///< no owned block ready or running
 };
 
 namespace detail {
 
 /// The per-(T,S) driver. One instance lives on the stack of one peer's
-/// solve call; receiver threads only touch it through the inbox and the
-/// matrix slab regions they exclusively own (see file comment).
+/// solve call; receiver threads only touch it through the scheduler, the
+/// PeerDone count, and the matrix slab regions they exclusively own.
 template <class S, class T>
 class PeerSolveRun {
  public:
@@ -93,35 +95,56 @@ class PeerSolveRun {
         opts_(opts),
         stats_(stats),
         engine_(mat, inst, opts.tuning),
-        tracker_(mat.blocks_per_side(), group.rank(), group.nranks()),
+        sched_(plan(mat.blocks_per_side(), group, opts)),
         received_(static_cast<std::size_t>(
-            tracker_.graph().task_count())),
+            sched_.tracker().graph().task_count())),
         pending_announce_(group.nranks()) {}
 
   SolveStatus run() {
     Stopwatch sw;
+    SolveStats ss;
     // On ANY exit — error included — receivers must be joined before this
     // object unwinds: their handler lambdas point into it.
     try {
       start();
-      run_loop();
+      solve(&ss);
+      PeerDone d;
+      d.rank = group_.rank();
+      d.blocks_computed = static_cast<std::uint32_t>(ss.tasks);
+      d.bytes_sent = group_.bytes_sent();
+      group_.send_to_all(encode_peer_done(group_.rank(), d));
+      await_peers();
     } catch (...) {
       group_.stop();
       throw;
     }
     group_.stop();
     if (stats_ != nullptr) {
-      stats_->blocks_owned = tracker_.owned_total();
-      stats_->blocks_computed = tracker_.owned_done();
+      const BlockTracker& t = sched_.tracker();
+      stats_->blocks_owned = t.owned_total();
+      stats_->blocks_computed = ss.tasks;
+      stats_->blocks_received = t.graph().task_count() - t.owned_total();
       stats_->bytes_sent = group_.bytes_sent();
       stats_->bytes_received = group_.bytes_received();
       stats_->messages_sent = group_.messages_sent();
+      stats_->stall_seconds = ss.stall_seconds;
       stats_->wall_seconds = sw.seconds();
     }
     return SolveStatus::Ok;
   }
 
  private:
+  static BlockScheduler::Options plan(index_t m, const PeerGroup& group,
+                                      const DistOptions& opts) {
+    BlockScheduler::Options o;
+    o.side = m;
+    o.workers = opts.tuning.threads;
+    o.owners = group.nranks();
+    o.rank = group.rank();
+    o.stall_timeout = std::chrono::milliseconds(opts.stall_timeout_ms);
+    return o;
+  }
+
   void start() {
     PeerHello hello;
     hello.rank = group_.rank();
@@ -142,135 +165,61 @@ class PeerSolveRun {
           on_frame(src, h, payload, len);
         },
         [this](std::uint32_t src, const std::string& what) {
-          push_event(Event{Event::Error, 0, 0, src,
-                           "peer " + std::to_string(src) + ": " + what});
+          abort("peer " + std::to_string(src) + ": " + what);
         });
   }
 
-  void run_loop() {
-    std::unique_ptr<ThreadPool> pool;
-    if (opts_.tuning.threads > 1)
-      pool = std::make_unique<ThreadPool>(opts_.tuning.threads);
-
-    for (const index_t id : tracker_.initial_ready()) ready_.push_back(id);
-
-    auto& stall_ns = obs::metrics().counter("net.peer.stall_ns");
-    const auto stall_budget =
-        std::chrono::milliseconds(opts_.stall_timeout_ms);
-    auto last_progress = std::chrono::steady_clock::now();
-    std::uint32_t done_peers = 0;
-    bool done_sent = false;
-    index_t in_flight = 0;  // blocks handed to the pool, not yet finished
-
-    while (true) {
-      // Launch (or run inline) every ready owned block.
-      while (!ready_.empty()) {
-        const index_t id = ready_.front();
-        ready_.pop_front();
-        const auto [bi, bj] = tracker_.graph().coords(id);
-        if (pool != nullptr) {
-          ++in_flight;
-          pool->submit([this, bi = bi, bj = bj] {
-            try {
-              engine_.compute_block(bi, bj, &sink_.local());
-              push_event(Event{Event::LocalDone, bi, bj, 0, {}});
-            } catch (const std::exception& e) {
-              push_event(Event{Event::Error, bi, bj, group_.rank(),
-                               std::string("compute failed: ") + e.what()});
-            }
-          });
-        } else {
-          engine_.compute_block(bi, bj, &sink_.local());
-          finish_local(bi, bj);
-          last_progress = std::chrono::steady_clock::now();
-        }
-      }
-
-      if (tracker_.all_owned_done() && in_flight == 0 && !done_sent) {
-        PeerDone d;
-        d.rank = group_.rank();
-        d.blocks_computed = static_cast<std::uint32_t>(tracker_.owned_done());
-        d.bytes_sent = group_.bytes_sent();
-        group_.send_to_all(encode_peer_done(group_.rank(), d));
-        done_sent = true;
-      }
-      if (done_sent && tracker_.all_visible() &&
-          done_peers == group_.nranks() - 1)
-        break;
-
-      // Nothing computable: sleep on the inbox until a remote block, a
-      // local completion, a PeerDone, or an error arrives.
-      std::vector<Event> batch;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        if (inbox_.empty()) {
-          const auto t0 = std::chrono::steady_clock::now();
-          cv_.wait_for(lock, std::chrono::milliseconds(100),
-                       [this] { return !inbox_.empty(); });
-          const auto waited = std::chrono::steady_clock::now() - t0;
-          const auto ns =
-              std::chrono::duration_cast<std::chrono::nanoseconds>(waited)
-                  .count();
-          stall_ns.add(ns);
-          if (stats_ != nullptr) stats_->stall_seconds += double(ns) * 1e-9;
-        }
-        batch.swap(inbox_);
-      }
-      if (!batch.empty()) last_progress = std::chrono::steady_clock::now();
-      for (const Event& ev : batch) {
-        switch (ev.kind) {
-          case Event::LocalDone:
-            --in_flight;
-            finish_local(ev.bi, ev.bj);
-            break;
-          case Event::Remote: {
-            if (stats_ != nullptr) ++stats_->blocks_received;
-            for (const index_t id : tracker_.mark_visible(ev.bi, ev.bj))
-              ready_.push_back(id);
-            break;
-          }
-          case Event::PeerDoneSeen:
-            ++done_peers;
-            break;
-          case Event::Error:
-            throw DistError(ev.what);
-        }
-      }
-      if (std::chrono::steady_clock::now() - last_progress > stall_budget)
-        throw DistError(
-            "rank " + std::to_string(group_.rank()) + " stalled: " +
-            std::to_string(tracker_.owned_done()) + "/" +
-            std::to_string(tracker_.owned_total()) + " owned computed, " +
-            std::to_string(tracker_.visible()) + "/" +
-            std::to_string(tracker_.graph().task_count()) +
-            " blocks visible after " +
-            std::to_string(opts_.stall_timeout_ms) + " ms without progress");
+  /// Computes every owned block (broadcasting each) until every block of
+  /// the triangle is visible here.
+  void solve(SolveStats* ss) {
+    ExecutionContext ctx;
+    ctx.tuning = opts_.tuning;
+    ctx.stats = ss;
+    try {
+      cellnpdp::detail::run_blocks(
+          sched_, engine_, mat_, ctx, /*sched_side=*/1, /*checksums=*/false,
+          [this](index_t bi, index_t bj) { broadcast(bi, bj); });
+    } catch (const ScheduleStalled& e) {
+      throw DistError("rank " + std::to_string(group_.rank()) +
+                      " stalled: " + e.what());
     }
+    obs::metrics().counter("net.peer.stall_ns").add(
+        static_cast<std::int64_t>(ss->stall_seconds * 1e9));
   }
 
-  struct Event {
-    enum Kind { LocalDone, Remote, PeerDoneSeen, Error } kind;
-    index_t bi = 0, bj = 0;
-    std::uint32_t src = 0;
-    std::string what;
-  };
+  /// Waits for every other rank's PeerDone, under the stall timeout.
+  void await_peers() {
+    std::unique_lock<std::mutex> lock(mu_);
+    const bool settled = cv_.wait_for(
+        lock, std::chrono::milliseconds(opts_.stall_timeout_ms), [this] {
+          return !error_.empty() || done_peers_ == group_.nranks() - 1;
+        });
+    if (!error_.empty()) throw DistError(error_);
+    if (!settled)
+      throw DistError("rank " + std::to_string(group_.rank()) +
+                      " stalled: PeerDone from " +
+                      std::to_string(done_peers_) + "/" +
+                      std::to_string(group_.nranks() - 1) + " peers after " +
+                      std::to_string(opts_.stall_timeout_ms) + " ms");
+  }
 
-  void push_event(Event ev) {
+  /// Receiver-side failure: fails the scheduler run (or the PeerDone wait).
+  void abort(const std::string& what) {
+    sched_.fail(std::make_exception_ptr(DistError(what)));
     {
       std::lock_guard<std::mutex> lock(mu_);
-      inbox_.push_back(std::move(ev));
+      if (error_.empty()) error_ = what;
     }
-    cv_.notify_one();
+    cv_.notify_all();
   }
 
-  /// Broadcast + tracker update for a block this rank just computed.
-  /// Solver-loop thread only.
-  void finish_local(index_t bi, index_t bj) {
+  /// The on-finished hook: broadcasts a block this rank just computed.
+  void broadcast(index_t bi, index_t bj) {
     const T* blk = mat_.block(bi, bj);
     const auto bytes = static_cast<std::size_t>(mat_.block_bytes());
-    const std::uint64_t sum = resilience::fnv1a(blk, bytes);
+    const std::uint64_t sum = fnv1a(blk, bytes);
     const auto id =
-        static_cast<std::uint64_t>(tracker_.graph().task_id(bi, bj));
+        static_cast<std::uint64_t>(sched_.tracker().graph().task_id(bi, bj));
     BlockAnnounce a;
     a.bi = static_cast<std::uint32_t>(bi);
     a.bj = static_cast<std::uint32_t>(bj);
@@ -282,13 +231,10 @@ class PeerSolveRun {
     obs::metrics()
         .counter("net.peer.blocks_sent")
         .add(static_cast<std::int64_t>(group_.nranks() - 1));
-    for (const index_t rid : tracker_.mark_visible(bi, bj))
-      ready_.push_back(rid);
   }
 
   /// Receiver-thread frame handler. Throwing aborts the connection and
-  /// surfaces as an Error event (PeerGroup routes the exception through
-  /// on_error).
+  /// fails the solve (PeerGroup routes the exception through on_error).
   void on_frame(std::uint32_t src, const net::FrameHeader& h,
                 const std::uint8_t* payload, std::size_t len) {
     std::string err;
@@ -304,7 +250,7 @@ class PeerSolveRun {
                           std::to_string(a.bytes) + " bytes, expected " +
                           std::to_string(mat_.block_bytes()));
         auto& pending = pending_announce_[src];
-        const index_t id = tracker_.graph().task_id(a.bi, a.bj);
+        const index_t id = sched_.tracker().graph().task_id(a.bi, a.bj);
         if (!pending.emplace(id, a).second)
           throw DistError("duplicate BlockAnnounce for (" +
                           std::to_string(a.bi) + "," + std::to_string(a.bj) +
@@ -319,7 +265,7 @@ class PeerSolveRun {
           throw DistError("bad BlockData: " + err);
         validate_remote_coords(src, v.bi, v.bj);
         auto& pending = pending_announce_[src];
-        const index_t id = tracker_.graph().task_id(v.bi, v.bj);
+        const index_t id = sched_.tracker().graph().task_id(v.bi, v.bj);
         const auto it = pending.find(id);
         if (it == pending.end())
           throw DistError("BlockData for (" + std::to_string(v.bi) + "," +
@@ -327,7 +273,7 @@ class PeerSolveRun {
         if (it->second.checksum != v.checksum)
           throw DistError("BlockData checksum does not match its announce");
         pending.erase(it);
-        if (resilience::fnv1a(v.data, v.len) != v.checksum)
+        if (fnv1a(v.data, v.len) != v.checksum)
           throw DistError("BlockData for (" + std::to_string(v.bi) + "," +
                           std::to_string(v.bj) + ") failed its checksum");
         if (received_[static_cast<std::size_t>(id)].exchange(
@@ -342,8 +288,7 @@ class PeerSolveRun {
             .counter("net.peer.blocks_received{peer=" + std::to_string(src) +
                      "}")
             .add();
-        push_event(Event{Event::Remote, static_cast<index_t>(v.bi),
-                         static_cast<index_t>(v.bj), src, {}});
+        sched_.arrive(static_cast<index_t>(v.bi), static_cast<index_t>(v.bj));
         return;
       }
       case net::MsgType::PeerDone: {
@@ -356,7 +301,11 @@ class PeerSolveRun {
         // PeerDone is the last frame a peer sends; from here an EOF on
         // this connection is that peer shutting down normally, not dying.
         group_.mark_finished(src);
-        push_event(Event{Event::PeerDoneSeen, 0, 0, src, {}});
+        {
+          std::lock_guard<std::mutex> lock(mu_);
+          ++done_peers_;
+        }
+        cv_.notify_all();
         return;
       }
       default:
@@ -372,7 +321,7 @@ class PeerSolveRun {
     if (bj >= m || bi > bj)
       throw DistError("block (" + std::to_string(bi) + "," +
                       std::to_string(bj) + ") outside the triangle");
-    if (DistTracker::owner_of(static_cast<index_t>(bj), group_.nranks()) !=
+    if (BlockTracker::owner_of(static_cast<index_t>(bj), group_.nranks()) !=
         src)
       throw DistError("peer " + std::to_string(src) +
                       " sent block (" + std::to_string(bi) + "," +
@@ -385,8 +334,7 @@ class PeerSolveRun {
   const DistOptions& opts_;
   DistStats* stats_;
   BlockEngine<T, S> engine_;
-  DistTracker tracker_;
-  EngineStatsSink sink_;
+  BlockScheduler sched_;
 
   // Receiver-side state. `received_` is the cross-thread dedup guard
   // (atomic per block); `pending_announce_[rank]` is only ever touched by
@@ -394,14 +342,11 @@ class PeerSolveRun {
   std::vector<std::atomic<std::uint8_t>> received_;
   std::vector<std::map<index_t, BlockAnnounce>> pending_announce_;
 
-  // Solver-loop state.
-  std::deque<index_t> ready_;
-
-  // The inbox: receivers and pool workers produce, the solver loop
-  // consumes.
+  // PeerDone count and the first receiver error, for await_peers().
   std::mutex mu_;
   std::condition_variable cv_;
-  std::vector<Event> inbox_;
+  std::uint32_t done_peers_ = 0;
+  std::string error_;
 };
 
 }  // namespace detail

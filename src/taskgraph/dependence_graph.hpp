@@ -7,7 +7,10 @@
 // the task on its left (si,sj-1) and the task below it (si+1,sj) — because
 // the chains along the row and the column transitively cover the full set
 // (DESIGN.md §5). Off-diagonal tasks therefore wait for exactly two
-// notifications; diagonal tasks are ready immediately.
+// notifications; diagonal tasks are ready immediately. The host scheduler
+// counts the full set instead (taskgraph/block_scheduler.hpp), which
+// releases the same tasks at the same completions and also holds when
+// inputs arrive from other processes.
 #pragma once
 
 #include <cassert>
@@ -20,7 +23,7 @@ namespace cellnpdp {
 
 class BlockDependenceGraph {
  public:
-  explicit BlockDependenceGraph(index_t m) : m_(m) { assert(m >= 1); }
+  explicit BlockDependenceGraph(index_t m) : m_(m) { assert(m >= 0); }
 
   index_t grid_side() const { return m_; }
   index_t task_count() const { return triangle_cells(m_); }
@@ -59,8 +62,8 @@ class BlockDependenceGraph {
   }
 
   /// The *full* (non-simplified) dependence set of (si,sj): every (si,k) and
-  /// (k,sj) other than the task itself. Used by tests to prove schedule
-  /// validity and by the ablation comparing graph variants.
+  /// (k,sj) other than the task itself — what BlockTracker counts. Used by
+  /// tests to prove schedule validity.
   std::vector<std::pair<index_t, index_t>> full_dependencies(
       index_t si, index_t sj) const {
     std::vector<std::pair<index_t, index_t>> out;
@@ -73,48 +76,6 @@ class BlockDependenceGraph {
 
  private:
   index_t m_;
-};
-
-/// Mutable ready-state over a BlockDependenceGraph. Not thread safe; the
-/// executor and the simulated PPE wrap it with their own synchronisation.
-class ReadyTracker {
- public:
-  explicit ReadyTracker(const BlockDependenceGraph& g)
-      : graph_(&g), waiting_(static_cast<std::size_t>(g.task_count())) {
-    for (index_t id = 0; id < g.task_count(); ++id) {
-      const auto [si, sj] = g.coords(id);
-      waiting_[static_cast<std::size_t>(id)] = g.dependency_count(si, sj);
-    }
-  }
-
-  /// Tasks ready before anything has run (the diagonal).
-  std::vector<index_t> initial_ready() const {
-    std::vector<index_t> out;
-    for (index_t id = 0; id < graph_->task_count(); ++id)
-      if (waiting_[static_cast<std::size_t>(id)] == 0) out.push_back(id);
-    return out;
-  }
-
-  /// Marks `id` complete and returns the tasks that just became ready.
-  std::vector<index_t> complete(index_t id) {
-    const auto [si, sj] = graph_->coords(id);
-    std::vector<index_t> ready;
-    for (const auto& [di, dj] : graph_->dependents(si, sj)) {
-      const index_t dep = graph_->task_id(di, dj);
-      if (--waiting_[static_cast<std::size_t>(dep)] == 0)
-        ready.push_back(dep);
-    }
-    ++completed_;
-    return ready;
-  }
-
-  bool all_complete() const { return completed_ == graph_->task_count(); }
-  index_t completed() const { return completed_; }
-
- private:
-  const BlockDependenceGraph* graph_;
-  std::vector<int> waiting_;
-  index_t completed_ = 0;
 };
 
 }  // namespace cellnpdp

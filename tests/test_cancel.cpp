@@ -28,8 +28,7 @@
 #include "layout/convert.hpp"
 #include "obs/metrics.hpp"
 #include "serve/service.hpp"
-#include "taskgraph/dependence_graph.hpp"
-#include "taskgraph/executor.hpp"
+#include "taskgraph/block_scheduler.hpp"
 
 namespace cellnpdp {
 namespace {
@@ -188,39 +187,54 @@ TEST(BackendRegistry, CellsimReportsSimulatedSeconds) {
   EXPECT_GT(r.sim_seconds, 0.0);
 }
 
-// --- executor cancellation ----------------------------------------------
+// --- scheduler cancellation ---------------------------------------------
 
+// The scheduler stops at the first task whose step reports a cancel (the
+// solve's step polls the token per block): nothing else starts, every
+// worker returns, and the run reports itself incomplete.
 TEST(ExecutorCancel, PreCancelledRunExecutesNothing) {
-  BlockDependenceGraph graph(6);
   CancelToken cancel = CancelToken::armed();
   cancel.request_cancel();
-  std::atomic<int> ran{0};
-  const bool completed = TaskQueueExecutor::run(
-      graph, 3, [&](index_t, index_t) { ++ran; }, nullptr, cancel);
-  EXPECT_FALSE(completed);
-  EXPECT_EQ(ran.load(), 0);
-  const auto order = TaskQueueExecutor::run_serial(
-      graph, [&](index_t, index_t) { ++ran; }, nullptr, cancel);
-  EXPECT_TRUE(order.empty());
-  EXPECT_EQ(ran.load(), 0);
+  for (std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
+    BlockScheduler::Options o;
+    o.side = 6;
+    o.workers = workers;
+    BlockScheduler sched(o);
+    int ran = 0;
+    const bool completed = sched.run(
+        [&](index_t, index_t, int& n) {
+          if (cancel.poll()) return false;
+          ++n;
+          return true;
+        },
+        &ran);
+    EXPECT_FALSE(completed) << workers << " workers";
+    EXPECT_EQ(ran, 0) << workers << " workers";
+  }
 }
 
 TEST(ExecutorCancel, TripMidRunStopsReleasingTasks) {
-  BlockDependenceGraph graph(8);  // 36 tasks
+  BlockScheduler::Options o;
+  o.side = 8;  // 36 tasks
+  o.workers = 2;
+  BlockScheduler sched(o);
   CancelToken cancel = CancelToken::armed();
-  std::atomic<int> ran{0};
+  std::atomic<int> started{0};
   const std::int64_t abandoned_before =
       obs::metrics().counter("sched.cancelled_tasks").value();
-  ExecutorStats es;
-  const bool completed = TaskQueueExecutor::run(
-      graph, 2,
-      [&](index_t, index_t) {
-        if (++ran >= 3) cancel.request_cancel();
+  ScheduleStats stats;
+  int ran = 0;
+  const bool completed = sched.run(
+      [&](index_t, index_t, int& n) {
+        if (cancel.poll()) return false;
+        if (++started >= 3) cancel.request_cancel();
+        ++n;
+        return true;
       },
-      &es, cancel);
+      &ran, &stats);
   EXPECT_FALSE(completed);
-  EXPECT_LT(ran.load(), 36);
-  EXPECT_EQ(es.tasks, index_t(ran.load()));
+  EXPECT_LT(ran, 36);
+  EXPECT_EQ(stats.tasks, index_t(ran));
   EXPECT_GT(obs::metrics().counter("sched.cancelled_tasks").value(),
             abandoned_before);
 }
@@ -240,7 +254,7 @@ TEST(SolveCancel, MidSolveCancelThenArenaReuseIsBitIdentical) {
     std::this_thread::sleep_for(std::chrono::milliseconds(8));
     ctx.cancel.request_cancel();
   });
-  const SolveStatus st = solve_blocked_parallel_into(mat, slow, ctx);
+  const SolveStatus st = solve_blocked_into(mat, slow, ctx);
   cancel_thread.join();
   ASSERT_EQ(st, SolveStatus::Cancelled);
 
@@ -251,7 +265,7 @@ TEST(SolveCancel, MidSolveCancelThenArenaReuseIsBitIdentical) {
   ExecutionContext fresh;
   fresh.tuning.block_side = 16;
   fresh.tuning.threads = 4;
-  ASSERT_EQ(solve_blocked_parallel_into(mat, inst, fresh), SolveStatus::Ok);
+  ASSERT_EQ(solve_blocked_into(mat, inst, fresh), SolveStatus::Ok);
   EXPECT_EQ(max_abs_diff(solve_reference(inst), mat), 0.0);
 }
 
@@ -264,7 +278,7 @@ TEST(SolveCancel, SerialSolvePreCancelledLeavesSeededTable) {
   ctx.cancel.request_cancel(CancelReason::Shutdown);
   SolveStats ss;
   ctx.stats = &ss;
-  EXPECT_EQ(solve_blocked_serial_into(mat, inst, ctx),
+  EXPECT_EQ(solve_blocked_into(mat, inst, ctx),
             SolveStatus::Cancelled);
   EXPECT_EQ(ss.tasks, 0);
 }

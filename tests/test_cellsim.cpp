@@ -136,17 +136,12 @@ TEST_P(WorkModelTest, MatchesEngineCountsExactly) {
   inst.init = [](index_t i, index_t j) {
     return random_init_value<float>(1, i, j);
   };
-  BlockedTriangularMatrix<float> mat(n, bs);
   NpdpOptions opts;
   opts.block_side = bs;
   opts.kernel = KernelKind::Native;  // width 4 == simulated SPE width (SP)
-  BlockEngine<float> engine(mat, inst, opts);
-  EngineStats stats;
-  engine.set_stats(&stats);
-  engine.seed();
-  const index_t m = engine.blocks_per_side();
-  for (index_t bj = 0; bj < m; ++bj)
-    for (index_t bi = bj; bi >= 0; --bi) engine.compute_block(bi, bj);
+  SolveStats ss;
+  solve_blocked(inst, opts, &ss);
+  const EngineStats& stats = ss.engine;
 
   const BlockWork model = total_work(n, bs, 4);
   EXPECT_EQ(model.kernel_calls, stats.kernel_calls);

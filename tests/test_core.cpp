@@ -90,7 +90,7 @@ TEST_P(EngineTest, PureModeMatchesFig1BitExactFloat) {
   NpdpOptions opts;
   opts.block_side = p.bs;
   opts.kernel = p.kernel;
-  const auto blocked = solve_blocked_serial(inst, opts);
+  const auto blocked = solve_blocked(inst, opts);
   const auto ref = solve_reference(inst);
   EXPECT_EQ(max_abs_diff(ref, to_triangular(blocked)), 0.0);
 }
@@ -101,7 +101,7 @@ TEST_P(EngineTest, PureModeMatchesFig1BitExactDouble) {
   NpdpOptions opts;
   opts.block_side = p.bs;
   opts.kernel = p.kernel;
-  const auto blocked = solve_blocked_serial(inst, opts);
+  const auto blocked = solve_blocked(inst, opts);
   const auto ref = solve_reference(inst);
   EXPECT_EQ(max_abs_diff(ref, to_triangular(blocked)), 0.0);
 }
@@ -113,7 +113,7 @@ TEST_P(EngineTest, WeightedModeMatchesGoldenModel) {
   NpdpOptions opts;
   opts.block_side = p.bs;
   opts.kernel = p.kernel;
-  const auto blocked = solve_blocked_serial(inst, opts);
+  const auto blocked = solve_blocked(inst, opts);
   const auto ref = solve_reference(inst);
   EXPECT_EQ(max_abs_diff(ref, to_triangular(blocked)), 0.0);
 }
@@ -136,7 +136,7 @@ TEST_P(EngineTest, SeparableKTermMatchesGoldenModel) {
   NpdpOptions opts;
   opts.block_side = p.bs;
   opts.kernel = p.kernel;
-  const auto blocked = solve_blocked_serial(inst, opts);
+  const auto blocked = solve_blocked(inst, opts);
   const auto ref = solve_reference(inst);
   EXPECT_EQ(max_abs_diff(ref, to_triangular(blocked)), 0.0);
 }
@@ -159,13 +159,13 @@ TEST_P(ParallelEngineTest, ParallelEqualsSerialBitExact) {
   const auto inst = random_instance<float>(p.n, 4242);
   NpdpOptions serial_opts;
   serial_opts.block_side = p.bs;
-  const auto serial = solve_blocked_serial(inst, serial_opts);
+  const auto serial = solve_blocked(inst, serial_opts);
 
   NpdpOptions par_opts = serial_opts;
   par_opts.sched_side = p.sched;
   par_opts.threads = p.threads;
   for (int rep = 0; rep < 3; ++rep) {
-    const auto par = solve_blocked_parallel(inst, par_opts);
+    const auto par = solve_blocked(inst, par_opts);
     EXPECT_EQ(max_abs_diff(to_triangular(serial), to_triangular(par)), 0.0)
         << "rep=" << rep;
   }
@@ -188,7 +188,7 @@ TEST(Engine, RejectsBlockSideNotMultipleOfKernelWidth) {
   auto inst = random_instance<float>(16, 1);
   NpdpOptions opts;
   opts.block_side = 6;  // not a multiple of the width-4 native kernel
-  EXPECT_THROW(solve_blocked_serial(inst, opts), std::invalid_argument);
+  EXPECT_THROW(solve_blocked(inst, opts), std::invalid_argument);
 }
 
 TEST(Engine, WeightedModeKeepsDiagonalAtInit) {
@@ -196,7 +196,7 @@ TEST(Engine, WeightedModeKeepsDiagonalAtInit) {
   inst.weight = [](index_t, index_t) { return 1.0; };
   NpdpOptions opts;
   opts.block_side = 8;
-  const auto blocked = solve_blocked_serial(inst, opts);
+  const auto blocked = solve_blocked(inst, opts);
   for (index_t i = 0; i < 20; ++i)
     EXPECT_EQ(blocked.at(i, i), inst.init(i, i));
 }
@@ -206,7 +206,7 @@ TEST(Engine, MonotoneProperty_ResultNeverExceedsInit) {
   const auto inst = random_instance<float>(90, 2024);
   NpdpOptions opts;
   opts.block_side = 16;
-  const auto out = solve_blocked_serial(inst, opts);
+  const auto out = solve_blocked(inst, opts);
   for (index_t i = 0; i < 90; ++i)
     for (index_t j = i; j < 90; ++j)
       EXPECT_LE(out.at(i, j), inst.init(i, j));
@@ -218,7 +218,7 @@ TEST(Engine, TriangleInequalityFixpoint) {
   const auto inst = random_instance<double>(60, 11);
   NpdpOptions opts;
   opts.block_side = 8;
-  const auto out = solve_blocked_serial(inst, opts);
+  const auto out = solve_blocked(inst, opts);
   for (index_t i = 0; i < 60; ++i)
     for (index_t j = i + 1; j < 60; ++j)
       for (index_t k = i + 1; k < j; ++k)
@@ -275,7 +275,7 @@ TEST(SolveStats, UtilizationEdgeCases) {
 }
 
 TEST(SolveStats, ConcurrentParallelSolvesKeepIndependentStats) {
-  // Two solve_blocked_parallel calls racing in one process (the serving
+  // Two parallel solve_blocked calls racing in one process (the serving
   // layer's steady state) must not interleave their stats: each solve's
   // counters must equal those of the same solve run alone, and the values
   // must stay bit-exact.
@@ -289,13 +289,13 @@ TEST(SolveStats, ConcurrentParallelSolvesKeepIndependentStats) {
   const auto inst_b = random_instance<float>(n, 77);
 
   SolveStats alone_a, alone_b;
-  const auto ref_a = solve_blocked_parallel(inst_a, opts, &alone_a);
-  const auto ref_b = solve_blocked_parallel(inst_b, opts, &alone_b);
+  const auto ref_a = solve_blocked(inst_a, opts, &alone_a);
+  const auto ref_b = solve_blocked(inst_b, opts, &alone_b);
 
   SolveStats racing_a, racing_b;
   BlockedTriangularMatrix<float> out_a(0, 1), out_b(0, 1);
-  std::thread ta([&] { out_a = solve_blocked_parallel(inst_a, opts, &racing_a); });
-  std::thread tb([&] { out_b = solve_blocked_parallel(inst_b, opts, &racing_b); });
+  std::thread ta([&] { out_a = solve_blocked(inst_a, opts, &racing_a); });
+  std::thread tb([&] { out_b = solve_blocked(inst_b, opts, &racing_b); });
   ta.join();
   tb.join();
 

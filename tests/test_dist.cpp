@@ -1,8 +1,7 @@
-// Distributed-solve tests: the peer mesh, the distributed dependence
-// tracker, and the end-to-end guarantee the subsystem is built around —
-// the matrix a peer group assembles over real loopback sockets is
-// BYTE-identical to the tier-1 serial solve, for every semiring and
-// instance mode. Also covers the failure contract (a peer dying
+// Distributed-solve tests: the peer mesh and the end-to-end guarantee the
+// subsystem is built around — the matrix a peer group assembles over real
+// loopback sockets is BYTE-identical to the tier-1 serial solve, for every
+// semiring and instance mode. Also covers the failure contract (a peer dying
 // mid-solve surfaces a DistError promptly on the survivors, never a
 // hang or a silently partial matrix) and the cluster-sim oracle's
 // communication-volume prediction against measured wire traffic.
@@ -16,7 +15,6 @@
 #include "cluster/cluster_sim.hpp"
 #include "common/rng.hpp"
 #include "core/solve.hpp"
-#include "dist/dist_tracker.hpp"
 #include "dist/in_process.hpp"
 #include "net/socket.hpp"
 #include "obs/metrics.hpp"
@@ -76,62 +74,7 @@ void expect_bytes_identical(const BlockedTriangularMatrix<T>& ref,
                         static_cast<std::size_t>(ref.total_cells()) *
                             sizeof(T)),
             0)
-      << what << ": assembled matrix differs from solve_blocked_serial";
-}
-
-// --- DistTracker -----------------------------------------------------------
-
-TEST(DistTracker, OwnershipIsBlockColumnCyclic) {
-  dist::DistTracker t(5, /*rank=*/1, /*nranks=*/3);
-  for (index_t bj = 0; bj < 5; ++bj)
-    for (index_t bi = 0; bi <= bj; ++bi)
-      EXPECT_EQ(t.owns(bi, bj), bj % 3 == 1) << bi << "," << bj;
-  EXPECT_EQ(dist::DistTracker::owner_of(4, 3), 1u);
-}
-
-TEST(DistTracker, DiagonalBlocksAreInitiallyReady) {
-  dist::DistTracker t(4, 0, 2);
-  // Rank 0 owns columns 0 and 2; the owned diagonal blocks (0,0), (2,2)
-  // have zero inputs and must be ready before anything is visible.
-  const auto ready = t.initial_ready();
-  ASSERT_EQ(ready.size(), 2u);
-  for (const index_t id : ready) {
-    const auto [bi, bj] = t.graph().coords(id);
-    EXPECT_EQ(bi, bj);
-    EXPECT_TRUE(t.owns(bi, bj));
-  }
-}
-
-TEST(DistTracker, FullInputSetGatesReadiness) {
-  // (0,1) truly depends on (0,0) and (1,1): 2*(bj-bi) = 2 inputs. With
-  // only one visible it must NOT fire — the simplified 2-predecessor
-  // rule of the serial engines is not valid across async peers.
-  dist::DistTracker t(2, 1, 2);  // rank 1 owns column 1: (0,1) and (1,1)
-  EXPECT_EQ(t.initial_ready().size(), 1u);    // (1,1) only
-  EXPECT_TRUE(t.mark_visible(1, 1).empty());  // (0,1) still waits on (0,0)
-  const auto ready = t.mark_visible(0, 0);    // last input arrives
-  ASSERT_EQ(ready.size(), 1u);
-  const auto [bi, bj] = t.graph().coords(ready[0]);
-  EXPECT_EQ(bi, 0);
-  EXPECT_EQ(bj, 1);
-}
-
-TEST(DistTracker, DuplicateVisibilityIsIgnored) {
-  dist::DistTracker t(3, 0, 3);
-  (void)t.mark_visible(1, 1);  // first sighting retires inputs
-  const auto again = t.mark_visible(1, 1);
-  EXPECT_TRUE(again.empty());
-  EXPECT_EQ(t.visible(), 1);
-}
-
-TEST(DistTracker, AllVisibleAfterEveryBlock) {
-  const index_t m = 4;
-  dist::DistTracker t(m, 0, 2);
-  for (index_t d = 0; d < m; ++d)           // antidiagonal order is one
-    for (index_t bi = 0; bi + d < m; ++bi)  // valid completion order
-      t.mark_visible(bi, bi + d);
-  EXPECT_TRUE(t.all_visible());
-  EXPECT_EQ(t.owned_done(), t.owned_total());
+      << what << ": assembled matrix differs from the single-process solve";
 }
 
 // --- End-to-end bit-identity ----------------------------------------------
@@ -143,7 +86,7 @@ TEST(DistSolve, ThreePeersMatchSerialForEverySemiringAndMode) {
       const auto inst = make_instance<float>(sr, mode, 150, 11, &factors);
       dist::DistOptions opts;
       opts.tuning.block_side = 32;
-      const auto ref = solve_blocked_serial(inst, opts.tuning);
+      const auto ref = solve_blocked(inst, opts.tuning);
       const auto got = dist::solve_distributed_in_process(inst, opts, 3);
       expect_bytes_identical(ref, got,
                              std::string(semiring_name(sr)) + "/mode" +
@@ -158,7 +101,7 @@ TEST(DistSolve, PeerCountsTwoAndFourMatchSerial) {
       make_instance<float>(SemiringId::MinPlus, Mode::Pure, 200, 3, &factors);
   dist::DistOptions opts;
   opts.tuning.block_side = 32;
-  const auto ref = solve_blocked_serial(inst, opts.tuning);
+  const auto ref = solve_blocked(inst, opts.tuning);
   for (std::uint32_t peers : {2u, 4u}) {
     const auto got = dist::solve_distributed_in_process(inst, opts, peers);
     expect_bytes_identical(ref, got, std::to_string(peers) + " peers");
@@ -171,8 +114,8 @@ TEST(DistSolve, MultiThreadedPeersStayBitIdentical) {
                                          Mode::Weighted, 180, 7, &factors);
   dist::DistOptions opts;
   opts.tuning.block_side = 32;
-  opts.tuning.threads = 2;  // per-peer compute pool
-  const auto ref = solve_blocked_serial(inst, opts.tuning);
+  const auto ref = solve_blocked(inst, opts.tuning);
+  opts.tuning.threads = 2;  // per-peer compute workers
   const auto got = dist::solve_distributed_in_process(inst, opts, 3);
   expect_bytes_identical(ref, got, "2 compute threads per peer");
 }
@@ -183,7 +126,7 @@ TEST(DistSolve, DoublePrecisionMatchesSerial) {
                                           Mode::Separable, 130, 5, &factors);
   dist::DistOptions opts;
   opts.tuning.block_side = 32;
-  const auto ref = solve_blocked_serial(inst, opts.tuning);
+  const auto ref = solve_blocked(inst, opts.tuning);
   const auto got = dist::solve_distributed_in_process(inst, opts, 3);
   expect_bytes_identical(ref, got, "double");
 }
@@ -282,7 +225,7 @@ TEST(DistBackend, RegistersOnceAndMatchesSerial) {
   const backend::BackendResult r = be.solve(inst, ctx);
   ASSERT_EQ(r.status, SolveStatus::Ok);
   ASSERT_NE(r.blocked, nullptr);
-  const auto ref = solve_blocked_serial(inst, ctx.tuning);
+  const auto ref = solve_blocked(inst, ctx.tuning);
   expect_bytes_identical(ref, *r.blocked, "distributed backend");
   EXPECT_EQ(r.value, ref.at(0, inst.n - 1));
 }

@@ -55,7 +55,7 @@ TEST_P(IntEngineTest, Int32MatchesGoldenModelExactly) {
   NpdpOptions opts;
   opts.block_side = p.bs;
   opts.kernel = p.kernel;
-  const auto blocked = solve_blocked_serial(inst, opts);
+  const auto blocked = solve_blocked(inst, opts);
   const auto ref = solve_reference(inst);
   for (index_t i = 0; i < p.n; ++i)
     for (index_t j = i; j < p.n; ++j)
@@ -80,8 +80,8 @@ TEST(IntNpdp, ParallelInt32MatchesSerial) {
   NpdpOptions serial, par;
   serial.block_side = par.block_side = 16;
   par.threads = 4;
-  const auto a = solve_blocked_serial(inst, serial);
-  const auto b = solve_blocked_parallel(inst, par);
+  const auto a = solve_blocked(inst, serial);
+  const auto b = solve_blocked(inst, par);
   for (index_t i = 0; i < 120; ++i)
     for (index_t j = i; j < 120; ++j) ASSERT_EQ(a.at(i, j), b.at(i, j));
 }
@@ -167,22 +167,6 @@ TEST(ParallelZuker, RepeatedParallelRunsAreDeterministic) {
 }
 
 // --- wavefront-barrier schedules -------------------------------------------
-
-TEST(Wavefront, NativeWavefrontSolverMatchesTaskQueueBitExact) {
-  NpdpInstance<float> inst;
-  inst.n = 130;
-  inst.init = [](index_t i, index_t j) {
-    return random_init_value<float>(21, i, j);
-  };
-  NpdpOptions opts;
-  opts.block_side = 16;
-  opts.threads = 4;
-  const auto queue = solve_blocked_parallel(inst, opts);
-  const auto wave = solve_blocked_wavefront(inst, opts);
-  for (index_t i = 0; i < inst.n; ++i)
-    for (index_t j = i; j < inst.n; ++j)
-      ASSERT_EQ(queue.at(i, j), wave.at(i, j)) << i << "," << j;
-}
 
 TEST(Wavefront, BarrierScheduleIsSlowerInTheSimulator) {
   // §II-B: the prior works' step-by-step processing underutilises the

@@ -76,7 +76,7 @@ TEST(TableIo, CheckpointedSolutionEqualsFreshSolve) {
   };
   NpdpOptions opts;
   opts.block_side = 16;
-  const auto solved = solve_blocked_serial(inst, opts);
+  const auto solved = solve_blocked(inst, opts);
 
   std::stringstream ss;
   save_table(ss, solved);

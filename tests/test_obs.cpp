@@ -492,7 +492,7 @@ TEST(Trace, ParallelSolveEmitsOneSpanPerSchedulingBlock) {
 
   Tracer::instance().start();
   SolveStats ss;
-  const auto table = solve_blocked_parallel(inst, opts, &ss);
+  const auto table = solve_blocked(inst, opts, &ss);
   Tracer::instance().stop();
 
   const index_t m = ceil_div(inst.n, opts.block_side);
@@ -537,9 +537,11 @@ TEST(Trace, ParallelSolveEmitsOneSpanPerSchedulingBlock) {
   EXPECT_GT(ss.utilization(), 0.0);
   EXPECT_LE(ss.utilization(), 1.01);
 
-  // The merged engine counters must match a single-threaded reference.
+  // The summed engine counters must match a single-threaded reference.
+  NpdpOptions one = opts;
+  one.threads = 1;
   SolveStats serial;
-  const auto ref = solve_blocked_serial(inst, opts, &serial);
+  const auto ref = solve_blocked(inst, one, &serial);
   EXPECT_EQ(ss.engine.kernel_calls, serial.engine.kernel_calls);
   EXPECT_EQ(ss.engine.corner_relax, serial.engine.corner_relax);
   EXPECT_EQ(ss.engine.diag_relax, serial.engine.diag_relax);

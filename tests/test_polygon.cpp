@@ -82,7 +82,7 @@ TEST(Polygon, GeneralAndSeparableKTermsAreMutuallyExclusive) {
   inst.ku = inst.kv = inst.kw = u;
   NpdpOptions opts;
   opts.block_side = 8;
-  EXPECT_THROW(solve_blocked_serial(inst, opts), std::invalid_argument);
+  EXPECT_THROW(solve_blocked(inst, opts), std::invalid_argument);
 }
 
 TEST(Polygon, DegenerateInputs) {

@@ -2,13 +2,13 @@
 //
 // Contracts under test (docs/resilience.md): a seeded FaultPlan fires
 // deterministically and logs every firing for replay; per-block retry and
-// checksum repair make the resilient solve bit-identical to a clean run
-// under injected throws and corruption; the executor re-seeds and re-runs
-// failed tasks (and rethrows when retry is off, instead of hanging); the
-// thread pool aggregates every job exception and self-heals worker deaths;
-// the circuit breaker walks closed -> open -> half-open -> closed; the
-// serve layer retries, degrades onto a fallback backend, sheds with
-// RetryAfter, and hedges stragglers without ever double-answering.
+// checksum repair make the blocked solve bit-identical to a clean run
+// under injected throws and corruption, on one worker and on many, and it
+// rethrows when retry is off instead of hanging; the thread pool
+// aggregates every job exception and self-heals worker deaths; the
+// circuit breaker walks closed -> open -> half-open -> closed; the serve
+// layer retries, degrades onto a fallback backend, sheds with RetryAfter,
+// and hedges stragglers without ever double-answering.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -26,11 +26,10 @@
 #include "common/thread_pool.hpp"
 #include "core/solve.hpp"
 #include "obs/metrics.hpp"
-#include "resilience/checksum.hpp"
+#include "layout/checksum.hpp"
 #include "resilience/circuit_breaker.hpp"
 #include "resilience/fault_injector.hpp"
 #include "resilience/hedge.hpp"
-#include "resilience/resilient_solve.hpp"
 #include "serve/service.hpp"
 
 namespace cellnpdp {
@@ -61,6 +60,18 @@ NpdpInstance<float> general_instance(index_t n, std::uint64_t seed = 13) {
     return 0.25f * float((i + j) % 7);
   };
   return inst;
+}
+
+/// The blocked solve as the resilient backend runs it: checksums on and a
+/// budget of 4 attempts per block.
+SolveStatus solve_healing(BlockedTriangularMatrix<float>& mat,
+                          const NpdpInstance<float>& inst,
+                          const ExecutionContext& ctx,
+                          SolveStats* ss = nullptr) {
+  ExecutionContext healing = ctx;
+  healing.retry.max_attempts = 4;
+  healing.stats = ss;
+  return solve_blocked_into(mat, inst, healing, /*checksums=*/true);
 }
 
 bool tables_identical(const BlockedTriangularMatrix<float>& a,
@@ -201,9 +212,9 @@ TEST(BlockChecksums, DetectsSingleBitCorruption) {
   NpdpInstance<float> inst = pure_instance(128);
   ExecutionContext ctx;
   ctx.tuning.block_side = 32;
-  solve_blocked_serial_into(mat, inst, ctx);
+  solve_blocked_into(mat, inst, ctx);
 
-  resilience::BlockChecksums<float> sums(mat);
+  BlockChecksums<float> sums(mat);
   const index_t m = mat.blocks_per_side();
   for (index_t bj = 0; bj < m; ++bj)
     for (index_t bi = 0; bi <= bj; ++bi) sums.record(bi, bj);
@@ -230,7 +241,7 @@ TEST(ResilientSolve, HealsDeterministicThrowsAndCorruption) {
   ExecutionContext ctx;
   ctx.tuning.block_side = bs;
   BlockedTriangularMatrix<float> clean(n, bs);
-  solve_blocked_serial_into(clean, inst, ctx);
+  solve_blocked_into(clean, inst, ctx);
 
   FaultPlan plan;
   plan.seed = 5;
@@ -239,9 +250,8 @@ TEST(ResilientSolve, HealsDeterministicThrowsAndCorruption) {
   FaultInjectionScope scope(std::move(plan));
 
   BlockedTriangularMatrix<float> healed(n, bs);
-  resilience::ResilienceReport rep;
-  const SolveStatus st = resilience::solve_blocked_serial_resilient_into(
-      healed, inst, ctx, {}, &rep);
+  SolveStats rep;
+  const SolveStatus st = solve_healing(healed, inst, ctx, &rep);
   EXPECT_EQ(st, SolveStatus::Ok);
   EXPECT_EQ(rep.block_retries, 3);
   EXPECT_EQ(rep.block_repairs, 4);
@@ -256,7 +266,7 @@ TEST(ResilientSolve, RandomFaultPlanStaysBitIdentical) {
   ExecutionContext ctx;
   ctx.tuning.block_side = bs;
   BlockedTriangularMatrix<float> clean(n, bs);
-  solve_blocked_serial_into(clean, inst, ctx);
+  solve_blocked_into(clean, inst, ctx);
 
   FaultPlan plan;
   plan.seed = 42;
@@ -265,8 +275,7 @@ TEST(ResilientSolve, RandomFaultPlanStaysBitIdentical) {
   FaultInjectionScope scope(std::move(plan));
 
   BlockedTriangularMatrix<float> healed(n, bs);
-  const SolveStatus st = resilience::solve_blocked_serial_resilient_into(
-      healed, inst, ctx);
+  const SolveStatus st = solve_healing(healed, inst, ctx);
   EXPECT_EQ(st, SolveStatus::Ok);
   EXPECT_TRUE(tables_identical(clean, healed));
 }
@@ -280,7 +289,7 @@ TEST(ResilientSolve, GeneralModeRepairReseedsBeforeRecompute) {
   ExecutionContext ctx;
   ctx.tuning.block_side = bs;
   BlockedTriangularMatrix<float> clean(n, bs);
-  solve_blocked_serial_into(clean, inst, ctx);
+  solve_blocked_into(clean, inst, ctx);
 
   FaultPlan plan;
   plan.seed = 3;
@@ -288,10 +297,8 @@ TEST(ResilientSolve, GeneralModeRepairReseedsBeforeRecompute) {
   FaultInjectionScope scope(std::move(plan));
 
   BlockedTriangularMatrix<float> healed(n, bs);
-  resilience::ResilienceReport rep;
-  ASSERT_EQ(resilience::solve_blocked_serial_resilient_into(healed, inst, ctx,
-                                                            {}, &rep),
-            SolveStatus::Ok);
+  SolveStats rep;
+  ASSERT_EQ(solve_healing(healed, inst, ctx, &rep), SolveStatus::Ok);
   EXPECT_EQ(rep.block_repairs, 5);
   EXPECT_TRUE(tables_identical(clean, healed));
 }
@@ -312,28 +319,28 @@ TEST(ResilientSolve, ResilientBackendMatchesBlockedSerial) {
   EXPECT_TRUE(tables_identical(*a.blocked, *b.blocked));
 }
 
-// --- executor-level recovery ---------------------------------------------
+// --- recovery on many workers ---------------------------------------------
 
 TEST(Executor, ParallelSolveRetriesFailedTasksAndStaysExact) {
   const index_t n = 512, bs = 32;
   NpdpInstance<float> inst = pure_instance(n, 29);
   NpdpOptions opts;
   opts.block_side = bs;
-  BlockedTriangularMatrix<float> clean = solve_blocked_serial(inst, opts);
+  BlockedTriangularMatrix<float> clean = solve_blocked(inst, opts);
 
   FaultInjectionScope scope(
       FaultPlan::single(FaultSite::TaskThrow, 1.0, /*max_fires=*/2));
   const std::int64_t retries_before =
-      obs::metrics().counter("sched.task_retries").value();
+      obs::metrics().counter("sched.block_retries").value();
 
   BlockedTriangularMatrix<float> mat(n, bs);
   ExecutionContext ctx;
   ctx.tuning.block_side = bs;
   ctx.tuning.threads = 4;
   ctx.retry.max_attempts = 4;
-  ASSERT_EQ(solve_blocked_parallel_into(mat, inst, ctx), SolveStatus::Ok);
+  ASSERT_EQ(solve_blocked_into(mat, inst, ctx), SolveStatus::Ok);
   EXPECT_TRUE(tables_identical(clean, mat));
-  EXPECT_EQ(obs::metrics().counter("sched.task_retries").value(),
+  EXPECT_EQ(obs::metrics().counter("sched.block_retries").value(),
             retries_before + 2);
 }
 
@@ -347,7 +354,7 @@ TEST(Executor, FailureWithoutRetryPropagatesInsteadOfHanging) {
     ExecutionContext ctx;
     ctx.tuning.block_side = bs;
     ctx.tuning.threads = threads;
-    EXPECT_THROW(solve_blocked_parallel_into(mat, inst, ctx), InjectedFault)
+    EXPECT_THROW(solve_blocked_into(mat, inst, ctx), InjectedFault)
         << threads << " threads";
   }
 }
@@ -362,7 +369,7 @@ TEST(Executor, RetryBudgetExhaustionRethrowsLastError) {
   ctx.tuning.block_side = bs;
   ctx.tuning.threads = 2;
   ctx.retry.max_attempts = 3;
-  EXPECT_THROW(solve_blocked_parallel_into(mat, inst, ctx), InjectedFault);
+  EXPECT_THROW(solve_blocked_into(mat, inst, ctx), InjectedFault);
 }
 
 // --- thread pool ----------------------------------------------------------
@@ -676,21 +683,21 @@ TEST(CancelToken, RearmAfterCancelledSolveReusesSameArena) {
   NpdpOptions opts;
   opts.block_side = bs;
   const BlockedTriangularMatrix<float> clean =
-      solve_blocked_serial(inst, opts);
+      solve_blocked(inst, opts);
 
   BlockedTriangularMatrix<float> arena(n, bs);
   ExecutionContext ctx;
   ctx.tuning = opts;
   ctx.cancel = CancelToken::armed();
   ctx.cancel.request_cancel();  // tripped before the solve starts
-  ASSERT_EQ(solve_blocked_serial_into(arena, inst, ctx),
+  ASSERT_EQ(solve_blocked_into(arena, inst, ctx),
             SolveStatus::Cancelled);
 
   // Re-arm with a fresh token, reset the same arena, solve to completion:
   // the partial/cancelled state must leave no residue.
   ctx.cancel = CancelToken::armed();
   arena.reset();
-  ASSERT_EQ(solve_blocked_serial_into(arena, inst, ctx), SolveStatus::Ok);
+  ASSERT_EQ(solve_blocked_into(arena, inst, ctx), SolveStatus::Ok);
   EXPECT_FALSE(ctx.cancelled());
   EXPECT_TRUE(tables_identical(clean, arena));
 }

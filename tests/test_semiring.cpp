@@ -1,7 +1,8 @@
 // Semiring-generic engine property tests: every semiring instantiation of
 // the blocked SIMD engine must match the semiring-generic scalar reference
 // element-for-element with NO tolerance, across block sizes, kernels,
-// drivers, and instance modes (pure / weighted / separable).
+// thread counts, fault recovery, and instance modes (pure / weighted /
+// separable).
 //
 // Bit-exactness across the blocked/SIMD reordering holds because:
 //   - min-plus / max-plus / viterbi-log are idempotent selections over
@@ -12,14 +13,18 @@
 //     addition in floating point is associative while it stays exact.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <string>
 #include <vector>
 
+#include "backend/solver_backend.hpp"
 #include "common/rng.hpp"
 #include "core/maxplus.hpp"
 #include "core/reference.hpp"
 #include "core/solve.hpp"
 #include "layout/convert.hpp"
+#include "resilience/fault_injector.hpp"
 
 namespace cellnpdp {
 namespace {
@@ -181,10 +186,10 @@ TEST(SemiringProperty, EveryKernelKindMatchesReference) {
   }
 }
 
-// The parallel and wavefront drivers relax blocks in a different global
-// order; for the non-idempotent counting semiring this is the test that
-// the exactly-once coverage argument survives tier-2 scheduling.
-TEST(SemiringProperty, ParallelAndWavefrontDriversMatch) {
+// The parallel schedule relaxes blocks in a different global order; for
+// the non-idempotent counting semiring this is the test that the
+// exactly-once coverage argument survives tier-2 scheduling.
+TEST(SemiringProperty, ParallelSolveMatchesReference) {
   for (SemiringId sr : kAll) {
     const bool counting = sr == SemiringId::Counting;
     NpdpOptions opts;
@@ -195,23 +200,59 @@ TEST(SemiringProperty, ParallelAndWavefrontDriversMatch) {
       std::vector<double> factors;
       const auto inst = make_instance<double>(sr, Mode::Pure, 12, 9, &factors);
       const auto ref = solve_reference_any(inst);
-      expect_identical(ref, to_triangular(solve_blocked_parallel(inst, opts)),
+      expect_identical(ref, to_triangular(solve_blocked(inst, opts)),
                        "counting parallel");
-      SolveStats ss;
-      expect_identical(ref,
-                       to_triangular(solve_blocked_wavefront(inst, opts, &ss)),
-                       "counting wavefront");
     } else {
       std::vector<float> factors;
       const auto inst = make_instance<float>(sr, Mode::Weighted, 90, 9,
                                              &factors);
       const auto ref = solve_reference_any(inst);
-      expect_identical(ref, to_triangular(solve_blocked_parallel(inst, opts)),
+      expect_identical(ref, to_triangular(solve_blocked(inst, opts)),
                        "parallel");
-      SolveStats ss;
-      expect_identical(ref,
-                       to_triangular(solve_blocked_wavefront(inst, opts, &ss)),
-                       "wavefront");
+    }
+  }
+}
+
+// The self-checking backend heals a seeded plan of injected throws and
+// block corruption on every semiring and mode, at one and four workers,
+// and lands byte-identical to the clean one-worker solve — which is the
+// reference itself wherever float arithmetic is exact (everywhere but
+// float counting, whose cells outgrow 2^24; the double sweeps above pin
+// counting to the reference).
+TEST(SemiringProperty, ResilientBackendHealsFaultsOnEverySemiring) {
+  const backend::SolverBackend& resilient =
+      backend::require_backend("resilient");
+  for (SemiringId sr : kAll) {
+    ASSERT_TRUE(backend::supports_semiring(resilient.caps(), sr));
+    const bool counting = sr == SemiringId::Counting;
+    for (Mode mode : {Mode::Pure, Mode::Weighted, Mode::Separable}) {
+      std::vector<float> factors;
+      const auto inst =
+          make_instance<float>(sr, mode, counting ? 20 : 75, 3, &factors);
+      NpdpOptions opts;
+      opts.block_side = 8;
+      const auto clean = to_triangular(solve_blocked(inst, opts));
+      if (!counting)
+        expect_identical(solve_reference_any(inst), clean, "clean solve");
+      for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        resilience::FaultPlan plan;
+        plan.seed = 17 + threads;
+        plan.rules.push_back({FaultSite::TaskThrow, 0.2, -1, 0});
+        plan.rules.push_back({FaultSite::BlockCorrupt, 0.2, -1, 0});
+        resilience::FaultInjectionScope scope(std::move(plan));
+        ExecutionContext ctx;
+        ctx.tuning = opts;
+        ctx.tuning.threads = threads;
+        ctx.retry.max_attempts = 16;
+        ctx.retry.base_backoff = std::chrono::milliseconds(0);
+        const auto r = resilient.solve(inst, ctx);
+        ASSERT_EQ(r.status, SolveStatus::Ok);
+        ASSERT_NE(r.blocked, nullptr);
+        const std::string what = std::string(semiring_name(sr)) + "/mode" +
+                                 std::to_string(static_cast<int>(mode)) +
+                                 "/" + std::to_string(threads) + "t";
+        expect_identical(clean, to_triangular(*r.blocked), what.c_str());
+      }
     }
   }
 }
@@ -284,10 +325,10 @@ TEST(SemiringEngine, InstantiationMismatchThrows) {
   // counting: the engine must refuse rather than read poisoned padding.
   ExecutionContext ctx;
   ctx.tuning = opts;
-  EXPECT_THROW(solve_blocked_serial_into(mat, inst, ctx),
+  EXPECT_THROW(solve_blocked_into(mat, inst, ctx),
                std::invalid_argument);
   mat.reset(semiring_zero<float>(SemiringId::Counting));
-  EXPECT_EQ(solve_blocked_serial_into(mat, inst, ctx), SolveStatus::Ok);
+  EXPECT_EQ(solve_blocked_into(mat, inst, ctx), SolveStatus::Ok);
 }
 
 TEST(SemiringMaxPlus, NativeMatchesNegationAdapterBitForBit) {

@@ -61,7 +61,7 @@ float direct_solve_value(index_t n, std::uint64_t seed, index_t block) {
   };
   NpdpOptions opts;
   opts.block_side = block;
-  return solve_blocked_serial(inst, opts).at(0, n - 1);
+  return solve_blocked(inst, opts).at(0, n - 1);
 }
 
 // --- AdmissionQueue --------------------------------------------------------

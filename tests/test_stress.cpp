@@ -45,7 +45,7 @@ TEST(Fuzz, RandomGeometriesAndWorkloadsMatchGoldenModel) {
     NpdpOptions opts;
     opts.block_side = bs;
     opts.kernel = kind;
-    const auto blocked = solve_blocked_serial(inst, opts);
+    const auto blocked = solve_blocked(inst, opts);
     const auto ref = solve_reference(inst);
     ASSERT_EQ(max_abs_diff(ref, to_triangular(blocked)), 0.0)
         << "trial " << trial << ": n=" << n << " bs=" << bs << " kernel="
@@ -78,7 +78,7 @@ TEST(Fuzz, AllInfinityInstanceStaysInfinity) {
   };
   NpdpOptions opts;
   opts.block_side = 8;
-  const auto out = solve_blocked_serial(inst, opts);
+  const auto out = solve_blocked(inst, opts);
   for (index_t i = 0; i < 40; ++i)
     for (index_t j = i + 1; j < 40; ++j)
       EXPECT_TRUE(is_minplus_identity(out.at(i, j)));
@@ -90,7 +90,7 @@ TEST(Fuzz, ZeroEverywhereIsAFixpoint) {
   inst.init = [](index_t, index_t) { return 0.0; };
   NpdpOptions opts;
   opts.block_side = 8;
-  const auto out = solve_blocked_serial(inst, opts);
+  const auto out = solve_blocked(inst, opts);
   for (index_t i = 0; i < 33; ++i)
     for (index_t j = i; j < 33; ++j) EXPECT_EQ(out.at(i, j), 0.0);
 }
@@ -106,7 +106,7 @@ TEST(Fuzz, TinySizesEveryBlockGeometry) {
       };
       NpdpOptions opts;
       opts.block_side = bs;
-      const auto out = solve_blocked_serial(inst, opts);
+      const auto out = solve_blocked(inst, opts);
       if (n == 0) continue;
       const auto ref = solve_reference(inst);
       ASSERT_EQ(max_abs_diff(ref, to_triangular(out)), 0.0)
@@ -125,12 +125,12 @@ TEST(Stress, ParallelSolverUnderRepeatedContention) {
   };
   NpdpOptions serial;
   serial.block_side = 8;  // 16x16 block grid: lots of tasks
-  const auto expect = solve_blocked_serial(inst, serial);
+  const auto expect = solve_blocked(inst, serial);
   for (int rep = 0; rep < 10; ++rep) {
     NpdpOptions par = serial;
     par.threads = 1 + static_cast<std::size_t>(rep % 8);
     par.sched_side = 1 + rep % 3;
-    const auto got = solve_blocked_parallel(inst, par);
+    const auto got = solve_blocked(inst, par);
     ASSERT_EQ(max_abs_diff(to_triangular(expect), to_triangular(got)), 0.0)
         << "rep " << rep;
   }

@@ -1642,7 +1642,7 @@ int cmd_dist_solve(const Args& a) {
   // The hello frame already carries n/block/semiring explicitly; the hash
   // covers what it cannot: the workload seed. A peer launched with a
   // different --seed fails the handshake instead of assembling garbage.
-  opts.config_hash = resilience::fnv1a(&seed, sizeof(seed));
+  opts.config_hash = fnv1a(&seed, sizeof(seed));
 
   // Optional ordinary-protocol stats port so `npdp top` can watch the
   // net.peer.* counters of a live peer.

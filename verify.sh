@@ -321,14 +321,17 @@ cmake --build "$ASAN_DIR" -j "$JOBS" --target test_serve test_qos \
 "$ASAN_DIR"/tests/test_router
 "$ASAN_DIR"/tests/test_dist
 
-echo "== thread sanitizer (serve + qos + cancel + resilience + net + router + dist) =="
+echo "== thread sanitizer (taskgraph + serve + qos + cancel + resilience + net + router + dist) =="
 # Cancellation crosses threads by design (dispatcher trips tokens that
-# workers poll), and the hedge watchdog races primaries against twins on
-# purpose; TSan is the check that those handoffs are race-free.
+# workers poll), the block scheduler hands tasks between workers and
+# arriving peers under one mutex, and the hedge watchdog races primaries
+# against twins on purpose; TSan is the check that those handoffs are
+# race-free.
 TSAN_DIR=${TSAN_DIR:-build-tsan}
 cmake -B "$TSAN_DIR" -S . -DCELLNPDP_SANITIZE=thread
-cmake --build "$TSAN_DIR" -j "$JOBS" --target test_serve test_qos \
-    test_cancel test_resilience test_net test_router test_dist
+cmake --build "$TSAN_DIR" -j "$JOBS" --target test_taskgraph test_serve \
+    test_qos test_cancel test_resilience test_net test_router test_dist
+"$TSAN_DIR"/tests/test_taskgraph
 "$TSAN_DIR"/tests/test_serve
 "$TSAN_DIR"/tests/test_qos
 "$TSAN_DIR"/tests/test_cancel
