@@ -1,6 +1,7 @@
 // Table I — the computing-block kernel: instruction mix, modeled SPU
 // cycles, and measured native throughput of every kernel backend
-// (google-benchmark).
+// (google-benchmark), beside the register-blocked block product that stage
+// 1 calls once per middle block pair.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -29,6 +30,22 @@ void bm_kernel(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * W * W * W);  // relaxations
 }
 
+template <class T, int W>
+void bm_block(benchmark::State& state) {
+  constexpr index_t bs = 64;
+  aligned_vector<T> c(bs * bs), a(bs * bs), b(bs * bs);
+  SplitMix64 rng(3);
+  for (auto& x : c) x = T(rng.next_in(0, 100));
+  for (auto& x : a) x = T(rng.next_in(0, 100));
+  for (auto& x : b) x = T(rng.next_in(0, 100));
+  for (auto _ : state) {
+    semiring_block<MinPlusSemiring<T>, T, W>(c.data(), a.data(), b.data(), bs);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * bs * bs * bs);  // relaxations
+}
+
 template <class T>
 void bm_kernel_scalar(benchmark::State& state) {
   const index_t side = state.range(0);
@@ -50,6 +67,10 @@ BENCHMARK(bm_kernel<float, 4>)->Name("minplus_cb/sp/128bit");
 BENCHMARK(bm_kernel<float, 8>)->Name("minplus_cb/sp/256bit");
 BENCHMARK(bm_kernel<double, 2>)->Name("minplus_cb/dp/128bit");
 BENCHMARK(bm_kernel<double, 4>)->Name("minplus_cb/dp/256bit");
+BENCHMARK(bm_block<float, 4>)->Name("minplus_block64/sp/128bit");
+BENCHMARK(bm_block<float, 8>)->Name("minplus_block64/sp/256bit");
+BENCHMARK(bm_block<double, 2>)->Name("minplus_block64/dp/128bit");
+BENCHMARK(bm_block<double, 4>)->Name("minplus_block64/dp/256bit");
 BENCHMARK(bm_kernel_scalar<float>)->Name("minplus_scalar/sp")->Arg(4);
 BENCHMARK(bm_kernel_scalar<double>)->Name("minplus_scalar/dp")->Arg(4);
 

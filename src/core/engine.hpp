@@ -3,8 +3,9 @@
 // A memory block B(bi,bj) is relaxed in two stages (DESIGN.md §5):
 //
 //   stage 1  - contributions from all *middle* memory blocks
-//              k in (bi,bj): C = min(C, block(bi,k) (+) block(k,bj));
-//              a pure (min,+) tile GEMM with no inner dependences.
+//              k in (bi,bj): C = C (+) (block(bi,k) (x) block(k,bj));
+//              a plain semiring block product with no inner dependences,
+//              one register-blocked kernel call per middle block pair.
 //   stage 2  - computing blocks of C walked left-to-right / bottom-to-top;
 //              each tile first folds in the triangular diagonal blocks
 //              B(bi,bi), B(bj,bj) at tile granularity, then a scalar corner
@@ -31,7 +32,8 @@ namespace cellnpdp {
 /// of the benches and to validate the simulator's closed-form work model
 /// against the real engine.
 struct EngineStats {
-  index_t kernel_calls = 0;    ///< WxW computing-block kernel invocations
+  /// Computing-block products; a block call counts (bs/W)^3.
+  index_t kernel_calls = 0;
   index_t corner_relax = 0;    ///< scalar relaxations in corner passes
   index_t diag_relax = 0;      ///< scalar relaxations in diagonal tiles
   index_t cells_finalized = 0; ///< finalize_cell executions
@@ -266,10 +268,21 @@ class BlockEngine {
     }
   }
 
-  /// Stage 1: C = min(C, A (+) B) for one middle block pair; a full tile
-  /// triple loop with no ordering constraints.
+  /// Stage 1: C = C (+) (A (x) B) for one middle block pair, a block
+  /// product with no ordering constraints. Pure and separable instances
+  /// make one block-product call; argmin and general k-term instances walk
+  /// the tile triples, which need per-tile k bases or a functor call.
   void middle_pass(T* Cb, const T* Ab, const T* Bb, index_t row0, index_t k0,
                    index_t col0, EngineStats* st) const {
+    if (!ktg_ && argm_ == nullptr) {
+      if (st != nullptr) st->kernel_calls += tb_ * tb_ * tb_;
+      if (ku_.empty())
+        kern_.block(Cb, Ab, Bb, bs_);
+      else
+        kern_.block_sep(Cb, Ab, Bb, bs_, ku_.data() + row0, kv_.data() + k0,
+                        kw_.data() + col0);
+      return;
+    }
     const index_t W = kern_.width;
     for (index_t rt = 0; rt < tb_; ++rt)
       for (index_t kt = 0; kt < tb_; ++kt)

@@ -8,7 +8,8 @@
 //            one of the "wider machines" ablations
 //
 // and by a semiring S (default min-plus): cb_kernel<T, S>(kind) returns
-// the bundle of S-specialised computing-block kernels. The argmin kernel
+// the bundle of S-specialised computing-block kernels, plus the block
+// products stage 1 calls once per middle block pair. The argmin kernel
 // exists only for min-plus (arg is null otherwise; the engine guards it).
 #pragma once
 
@@ -38,11 +39,16 @@ struct CbKernel {
                          const T*, const T*, const T*);
   using ArgFn = void (*)(T*, T*, index_t, const T*, index_t, const T*,
                          index_t, index_t);
+  using BlockFn = void (*)(T*, const T*, const T*, index_t);
+  using BlockSepFn = void (*)(T*, const T*, const T*, index_t, const T*,
+                              const T*, const T*);
 
   index_t width = 4;       ///< computing-block side in cells
   PureFn pure = nullptr;   ///< C = C (+) (A (x) B)
   SepFn sep = nullptr;     ///< with separable u*v*w factor
   ArgFn arg = nullptr;     ///< pure relaxation + argmin-k (min-plus only)
+  BlockFn block = nullptr;         ///< pure over bs x bs memory blocks
+  BlockSepFn block_sep = nullptr;  ///< separable over bs x bs memory blocks
   KernelKind kind = KernelKind::Scalar;
 };
 
@@ -71,6 +77,18 @@ CELLNPDP_NOVEC void scalar_arg_fixed(T* C, T* KC, index_t sc, const T* A,
                              static_cast<const T*>(nullptr));
 }
 
+template <class S, class T>
+CELLNPDP_NOVEC void scalar_block(T* C, const T* A, const T* B, index_t bs) {
+  semiring_tile_scalar<S, T>(C, bs, A, bs, B, bs, bs);
+}
+
+template <class S, class T>
+CELLNPDP_NOVEC void scalar_block_sep(T* C, const T* A, const T* B,
+                                     index_t bs, const T* u, const T* v,
+                                     const T* w) {
+  semiring_tile_scalar_sep<S, T>(C, bs, A, bs, B, bs, bs, u, v, w);
+}
+
 }  // namespace detail
 
 /// Returns the computing-block kernel bundle for (T, S, kind). The
@@ -87,6 +105,8 @@ CbKernel<T> cb_kernel(KernelKind kind) {
       k.pure = &detail::scalar_pure_fixed<S, T, 4>;
       k.sep = &detail::scalar_sep_fixed<S, T, 4>;
       if constexpr (minplus) k.arg = &detail::scalar_arg_fixed<T, 4>;
+      k.block = &detail::scalar_block<S, T>;
+      k.block_sep = &detail::scalar_block_sep<S, T>;
       break;
     case KernelKind::Native: {
       constexpr int W = sizeof(T) == 4 ? 4 : 2;
@@ -94,6 +114,8 @@ CbKernel<T> cb_kernel(KernelKind kind) {
       k.pure = &semiring_cb<S, T, W>;
       k.sep = &semiring_cb_sep<S, T, W>;
       if constexpr (minplus) k.arg = &minplus_cb_arg<T, W>;
+      k.block = &semiring_block<S, T, W>;
+      k.block_sep = &semiring_block_sep<S, T, W>;
       break;
     }
     case KernelKind::Wide: {
@@ -102,6 +124,8 @@ CbKernel<T> cb_kernel(KernelKind kind) {
       k.pure = &semiring_cb<S, T, W>;
       k.sep = &semiring_cb_sep<S, T, W>;
       if constexpr (minplus) k.arg = &minplus_cb_arg<T, W>;
+      k.block = &semiring_block<S, T, W>;
+      k.block_sep = &semiring_block_sep<S, T, W>;
       break;
     }
   }

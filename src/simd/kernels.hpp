@@ -18,6 +18,11 @@
 // which is what the optimal-matrix-parenthesization instance needs
 // (p_i * p_k * p_j); pure NPDP passes no term.
 //
+// semiring_block[_sep] apply the same relaxation to whole bs x bs memory
+// blocks for stage 1 of the engine: a 4-row x 2-vector panel of C stays in
+// registers while k streams over the block, so C is loaded and stored once
+// per block product rather than once per WxW tile.
+//
 // The minplus_* entry points below are thin aliases onto the generic
 // kernels instantiated with MinPlusSemiring — same instructions, same
 // results, kept for the existing call sites and the op-count model.
@@ -113,6 +118,108 @@ inline void semiring_cb_sep(T* C, index_t sc, const T* A, index_t sa,
                                           std::make_index_sequence<W>{});
     c.store(C + r * sc);
   }
+}
+
+namespace detail {
+
+template <class T, int W, std::size_t... V>
+inline void panel_load(Vec<T, W>* dst, const T* src,
+                       std::index_sequence<V...>) {
+  ((dst[V] = Vec<T, W>::load(src + V * W)), ...);
+}
+
+template <class T, int W, std::size_t... V>
+inline void panel_store(const Vec<T, W>* src, T* dst,
+                        std::index_sequence<V...>) {
+  (src[V].store(dst + V * W), ...);
+}
+
+template <class S, class T, int W, std::size_t... V>
+inline void panel_row(Vec<T, W>* c, Vec<T, W> a, const Vec<T, W>* b,
+                      std::index_sequence<V...>) {
+  ((c[V] = S::template vplus<W>(c[V], S::template vtimes<W>(a, b[V]))), ...);
+}
+
+template <class S, class T, int W, std::size_t... V>
+inline void panel_row_sep(Vec<T, W>* c, Vec<T, W> a, const Vec<T, W>* b,
+                          Vec<T, W> uv, const Vec<T, W>* wv,
+                          std::index_sequence<V...>) {
+  // Same association as semiring_row_sep: (a (x) b) (x) ((u*v)*w).
+  ((c[V] = S::template vplus<W>(
+        c[V], S::template vtimes<W>(S::template vtimes<W>(a, b[V]),
+                                    uv * wv[V]))),
+   ...);
+}
+
+/// One register panel of a block product: rows r0+R... and NV vectors from
+/// column c0 of C, held in registers while k streams over the whole block.
+/// A[r][k] is broadcast from memory; u/v/w are read only when Sep.
+template <class S, class T, int W, int NV, bool Sep, std::size_t... R>
+inline void semiring_panel(T* C, const T* A, const T* B, index_t bs,
+                           index_t r0, index_t c0, const T* u, const T* v,
+                           const T* w, std::index_sequence<R...>) {
+  using V = Vec<T, W>;
+  constexpr auto vs = std::make_index_sequence<NV>{};
+  C += r0 * bs + c0;
+  A += r0 * bs;
+  B += c0;
+  V c[sizeof...(R)][NV];
+  V wv[NV]{};
+  (panel_load<T, W>(c[R], C + R * bs, vs), ...);
+  if constexpr (Sep) panel_load<T, W>(wv, w + c0, vs);
+  for (index_t k = 0; k < bs; ++k) {
+    V b[NV];
+    panel_load<T, W>(b, B + k * bs, vs);
+    if constexpr (Sep) {
+      (panel_row_sep<S, T, W>(c[R], V::set1(A[R * bs + k]), b,
+                              V::set1(u[r0 + R] * v[k]), wv, vs),
+       ...);
+    } else {
+      (panel_row<S, T, W>(c[R], V::set1(A[R * bs + k]), b, vs), ...);
+    }
+  }
+  (panel_store<T, W>(c[R], C + R * bs, vs), ...);
+}
+
+template <class S, class T, int W, bool Sep>
+inline void semiring_block_impl(T* C, const T* A, const T* B, index_t bs,
+                                const T* u, const T* v, const T* w) {
+  // 4 rows x 2 vectors: 8 accumulators, 2 B vectors and 1 broadcast fit
+  // the 16 vector registers of x86-64; wider panels spill.
+  constexpr int kRows = 4;
+  constexpr index_t kPanel = 2 * W;
+  const auto row_panel = [&](index_t r, auto rows) {
+    index_t c = 0;
+    for (; c + kPanel <= bs; c += kPanel)
+      semiring_panel<S, T, W, 2, Sep>(C, A, B, bs, r, c, u, v, w, rows);
+    if (c < bs)  // bs is a multiple of W: the tail is one vector wide
+      semiring_panel<S, T, W, 1, Sep>(C, A, B, bs, r, c, u, v, w, rows);
+  };
+  index_t r = 0;
+  for (; r + kRows <= bs; r += kRows)
+    row_panel(r, std::make_index_sequence<kRows>{});
+  for (; r < bs; ++r) row_panel(r, std::index_sequence<0>{});
+}
+
+}  // namespace detail
+
+/// Register-blocked block product over three bs x bs memory blocks (row
+/// stride bs, bs a multiple of W): C = C (+) (A (x) B). Every C cell folds
+/// its bs candidates in ascending k, the order a walk of WxW semiring_cb
+/// calls over the tile triples gives, so the results are bit-identical;
+/// only the C loads and stores between tiles are gone.
+template <class S, class T, int W>
+inline void semiring_block(T* C, const T* A, const T* B, index_t bs) {
+  detail::semiring_block_impl<S, T, W, false>(C, A, B, bs, nullptr, nullptr,
+                                              nullptr);
+}
+
+/// semiring_block with the separable factor u[r]*v[k]*w[c] of
+/// semiring_cb_sep; u/v/w point at the block's first row, k and column.
+template <class S, class T, int W>
+inline void semiring_block_sep(T* C, const T* A, const T* B, index_t bs,
+                               const T* u, const T* v, const T* w) {
+  detail::semiring_block_impl<S, T, W, true>(C, A, B, bs, u, v, w);
 }
 
 /// The paper's (min,+) kernel: semiring_cb instantiated with min-plus.

@@ -1,5 +1,10 @@
 // Layout module tests: triangular (previous works) and blocked (NDL).
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <fstream>
+#include <memory>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "layout/convert.hpp"
@@ -116,6 +121,28 @@ TEST(LayoutConvert, BlockBytesMatchesPaperUnit) {
   BlockedTriangularMatrix<float> b88(256, 88);
   EXPECT_EQ(b88.block_bytes(), 88 * 88 * 4);
   EXPECT_NEAR(double(b88.block_bytes()), 32.0 * 1024, 2048);
+}
+
+long resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  long size_pages = 0, resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  return resident_pages * sysconf(_SC_PAGESIZE);
+}
+
+TEST(AlignedAllocator, FreedTablesLeaveNoResidentMemory) {
+  // A small allocation made while a table is alive and kept after it dies
+  // pins a heap-allocated table's pages; mapped tables go back at once.
+  std::vector<std::unique_ptr<int>> kept;
+  kept.reserve(8);
+  const long start = resident_bytes();
+  for (int i = 0; i < 8; ++i) {
+    {
+      BlockedTriangularMatrix<float> table(2048, 64);
+      kept.push_back(std::make_unique<int>(i));
+    }
+    EXPECT_LE(resident_bytes() - start, 1L << 20) << "after table " << i;
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <type_traits>
 #include <vector>
 
@@ -293,6 +294,100 @@ TEST(Kernels, SeparableTermEverySemiring) {
     semiring_sep_kernel_case<MaxPlusSemiring<double>, 4>(s);
     semiring_sep_kernel_case<CountingSemiring<double>, 4>(s);
     semiring_sep_kernel_case<ViterbiLogSemiring<float>, 4>(s);
+  }
+}
+
+// --- block products -----------------------------------------------------
+
+/// Block-product operands with `zero_fraction` of them the semiring zero.
+/// Counting draws non-integer values, so a change in the order of a cell's
+/// k contributions changes its rounding.
+template <class S>
+aligned_vector<typename S::value_type> random_operands(
+    index_t count, std::uint64_t seed, double zero_fraction) {
+  using T = typename S::value_type;
+  aligned_vector<T> buf(static_cast<std::size_t>(count));
+  SplitMix64 rng(seed);
+  for (auto& x : buf) {
+    if (rng.next_unit() < zero_fraction) {
+      x = S::zero();
+    } else if constexpr (S::id == SemiringId::Counting) {
+      x = T(rng.next_in(0.5, 1.5));
+    } else {
+      x = T(rng.next_in(-50, 50));
+    }
+  }
+  return buf;
+}
+
+/// The tile walk the block product replaces: one WxW kernel call per tile
+/// triple, in (row tile, k tile, column tile) order.
+template <class T>
+void tile_walk(const CbKernel<T>& k, T* C, const T* A, const T* B,
+               index_t bs, const T* u, const T* v, const T* w) {
+  const index_t W = k.width;
+  for (index_t rt = 0; rt < bs / W; ++rt)
+    for (index_t kt = 0; kt < bs / W; ++kt)
+      for (index_t ct = 0; ct < bs / W; ++ct) {
+        T* c = C + rt * W * bs + ct * W;
+        const T* a = A + rt * W * bs + kt * W;
+        const T* b = B + kt * W * bs + ct * W;
+        if (u != nullptr)
+          k.sep(c, bs, a, bs, b, bs, u + rt * W, v + kt * W, w + ct * W);
+        else
+          k.pure(c, bs, a, bs, b, bs);
+      }
+}
+
+template <class S>
+void block_matches_tile_walk(KernelKind kind, index_t bs, std::uint64_t seed) {
+  using T = typename S::value_type;
+  const CbKernel<T> k = cb_kernel<T, S>(kind);
+  const auto a = random_operands<S>(bs * bs, seed + 1, 0.2);
+  const auto b = random_operands<S>(bs * bs, seed + 2, 0.2);
+  // Integer factors keep u*v*w exact (as in sep_kernel_case), so whether
+  // the compiler fuses that product into the following add cannot change
+  // a selection semiring's result.
+  aligned_vector<T> factors(static_cast<std::size_t>(3 * bs));
+  SplitMix64 rng(seed + 3);
+  for (auto& x : factors) x = T(double(1 + rng.next_below(4)));
+  const T* u = factors.data();
+  const T* v = u + bs;
+  const T* w = v + bs;
+  for (const bool sep : {false, true}) {
+    auto want = random_operands<S>(bs * bs, seed, 0.2);
+    auto got = want;
+    const std::size_t bytes = want.size() * sizeof(T);
+    if (sep) {
+      tile_walk(k, want.data(), a.data(), b.data(), bs, u, v, w);
+      k.block_sep(got.data(), a.data(), b.data(), bs, u, v, w);
+    } else {
+      tile_walk<T>(k, want.data(), a.data(), b.data(), bs, nullptr, nullptr,
+                   nullptr);
+      k.block(got.data(), a.data(), b.data(), bs);
+    }
+    EXPECT_EQ(std::memcmp(want.data(), got.data(), bytes), 0)
+        << semiring_name(S::id) << " " << kernel_kind_name(kind)
+        << (sizeof(T) == 4 ? " float" : " double") << " bs=" << bs
+        << (sep ? " separable" : " pure");
+  }
+}
+
+TEST(Kernels, BlockProductMatchesTileWalkBitForBit) {
+  for (SemiringId sr : {SemiringId::MinPlus, SemiringId::MaxPlus,
+                        SemiringId::Counting, SemiringId::ViterbiLog}) {
+    for (KernelKind kind :
+         {KernelKind::Scalar, KernelKind::Native, KernelKind::Wide}) {
+      const auto run = [&](auto s) {
+        using S = decltype(s);
+        const index_t W =
+            cb_kernel<typename S::value_type, S>(kind).width;
+        for (index_t bs : {W, 2 * W, 3 * W, 5 * W, index_t{64}})
+          block_matches_tile_walk<S>(kind, bs, std::uint64_t(bs) * 7);
+      };
+      with_semiring<float>(sr, run);
+      with_semiring<double>(sr, run);
+    }
   }
 }
 

@@ -302,15 +302,18 @@ for SR in min-plus max-plus counting viterbi-log; do
 done
 echo "dist: clean (3 peers x 4 semirings, all ranks bit-identical)"
 
-echo "== sanitizers (semiring + serve + qos + taskgraph + cancel + resilience + net + router + dist) =="
+echo "== sanitizers (simd + layout + semiring + serve + qos + taskgraph + cancel + resilience + net + router + dist) =="
 # The concurrency-heavy suites rerun under ASan/UBSan in a separate tree;
 # the semiring property sweep rides along so every instantiation's kernel
-# and driver paths get sanitized too.
+# and solve paths get sanitized too, and the simd and layout suites cover
+# the block product's tail panels and the mapping table allocator.
 ASAN_DIR=${ASAN_DIR:-build-asan}
 cmake -B "$ASAN_DIR" -S . -DCELLNPDP_SANITIZE=address,undefined
-cmake --build "$ASAN_DIR" -j "$JOBS" --target test_serve test_qos \
-    test_taskgraph test_cancel test_resilience test_net test_router \
-    test_semiring test_dist
+cmake --build "$ASAN_DIR" -j "$JOBS" --target test_simd test_layout \
+    test_serve test_qos test_taskgraph test_cancel test_resilience test_net \
+    test_router test_semiring test_dist
+"$ASAN_DIR"/tests/test_simd
+"$ASAN_DIR"/tests/test_layout
 "$ASAN_DIR"/tests/test_semiring
 "$ASAN_DIR"/tests/test_serve
 "$ASAN_DIR"/tests/test_qos
