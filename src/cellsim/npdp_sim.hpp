@@ -127,7 +127,6 @@ CellSimResult simulate_cellnpdp(const NpdpInstance<T>& inst,
     eopts.block_side = bs;
     eopts.kernel = opts.simd ? KernelKind::Native : KernelKind::Scalar;
     engine = std::make_unique<BlockEngine<T>>(*mat, inst, eopts);
-    engine->seed();
   }
 
   auto compute_seconds = [&](const BlockWork& bw) {

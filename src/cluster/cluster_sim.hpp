@@ -79,7 +79,6 @@ ClusterSimResult simulate_cluster_npdp(
     NpdpOptions eopts;
     eopts.block_side = bs;
     engine = std::make_unique<BlockEngine<T>>(*mat, inst, eopts);
-    engine->seed();
   }
 
   auto compute_seconds = [&](index_t bi, index_t bj) {

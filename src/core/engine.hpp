@@ -15,6 +15,7 @@
 // itself and scalar triangular tiles on the tile diagonal.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <stdexcept>
@@ -96,69 +97,6 @@ class BlockEngine {
     }
   }
 
-  /// Seeds the matrix storage according to the mode (see NpdpInstance).
-  void seed() {
-    const index_t n = inst_->n;
-    if (argm_ != nullptr) {
-      T* a = argm_->data();
-      for (index_t c = 0; c < argm_->total_cells(); ++c) a[c] = T(-1);
-    }
-    if (general_) {
-      for (index_t i = 0; i < n; ++i) mat_->at(i, i) = inst_->init(i, i);
-      return;  // off-diagonal cells keep the +inf written at construction
-    }
-    for (index_t i = 0; i < n; ++i) {
-      const T dii = inst_->init(i, i);
-      mat_->at(i, i) = dii;
-      for (index_t j = i + 1; j < n; ++j) {
-        const T init = inst_->init(i, j);
-        const T self = S::times(init, dii);  // Fig. 1's k == i relaxation
-        mat_->at(i, j) = S::plus(init, self);
-      }
-    }
-  }
-
-  /// Restores memory block (bi,bj) — and its argmin block, when attached —
-  /// to the exact state seed() left it in: the semiring zero on padding
-  /// and below-diagonal cells, the seed formula on in-triangle cells. The
-  /// recovery paths call this before re-relaxing a block whose first
-  /// execution threw mid-write or whose contents failed a checksum:
-  /// general-mode finalize_cell is an overwrite (not a min-fold), so
-  /// re-execution is only correct from a freshly seeded block, and
-  /// corrupted values below the true minimum could never be repaired by
-  /// re-relaxation alone. Bit-identical to seed() by construction (same
-  /// arithmetic expressions in the same order).
-  void seed_block(index_t bi, index_t bj) {
-    T* Cb = mat_->block(bi, bj);
-    const index_t cells = bs_ * bs_;
-    const T id = S::zero();
-    for (index_t c = 0; c < cells; ++c) Cb[c] = id;
-    if (argm_ != nullptr) {
-      T* Kb = argm_->data() + (Cb - mat_->data());
-      for (index_t c = 0; c < cells; ++c) Kb[c] = T(-1);
-    }
-    const index_t n = inst_->n;
-    const index_t row0 = bi * bs_;
-    const index_t col0 = bj * bs_;
-    for (index_t r = 0; r < bs_; ++r) {
-      const index_t gi = row0 + r;
-      if (gi >= n) break;
-      for (index_t c = 0; c < bs_; ++c) {
-        const index_t gj = col0 + c;
-        if (gj < gi || gj >= n) continue;
-        if (gi == gj) {
-          Cb[r * bs_ + c] = inst_->init(gi, gi);
-          continue;
-        }
-        if (general_) continue;  // off-diagonal cells stay the zero
-        const T dii = inst_->init(gi, gi);
-        const T init = inst_->init(gi, gj);
-        const T self = S::times(init, dii);  // Fig. 1's k == i relaxation
-        Cb[r * bs_ + c] = S::plus(init, self);
-      }
-    }
-  }
-
   index_t blocks_per_side() const { return mat_->blocks_per_side(); }
   index_t block_side() const { return bs_; }
   index_t tiles_per_side() const { return tb_; }
@@ -167,8 +105,9 @@ class BlockEngine {
   /// Attaches an argmin table (same geometry as the value matrix). Each
   /// cell ends up holding, as a T, the k index whose relaxation produced
   /// the final value, or -1 if the seed/init value survived. Must be
-  /// attached before seed(). Min-plus only: argmin traceback over other
-  /// semirings has no SIMD kernel (and no meaning for counting).
+  /// attached before the first compute_block(). Min-plus only: argmin
+  /// traceback over other semirings has no SIMD kernel (and no meaning
+  /// for counting).
   void set_argmin(BlockedTriangularMatrix<T>* argm) {
     if constexpr (S::id != SemiringId::MinPlus)
       throw std::invalid_argument("argmin tracking requires min-plus");
@@ -177,11 +116,18 @@ class BlockEngine {
     argm_ = argm;
   }
 
-  /// Relaxes memory block (bi,bj). Every block it depends on — all (bi,k)
-  /// and (k,bj) with bi <= k <= bj other than itself — must be final.
-  /// Counts work into `st` when given (the caller's own copy: concurrent
-  /// workers must not share one).
+  /// Seeds memory block (bi,bj), then relaxes it. Every block it depends
+  /// on — all (bi,k) and (k,bj) with bi <= k <= bj other than itself —
+  /// must be final; the block's own prior contents are never read, so the
+  /// matrix only needs the semiring zero as its pad(). Every run starts
+  /// from a fresh seed, which makes re-running a block (after a throw or
+  /// a failed checksum) correct by construction: general-mode
+  /// finalize_cell is an overwrite, not a min-fold, and re-relaxing could
+  /// never heal a corrupted value below the true minimum. Counts work into
+  /// `st` when given (the caller's own copy: concurrent workers must not
+  /// share one).
   void compute_block(index_t bi, index_t bj, EngineStats* st = nullptr) {
+    seed_block(bi, bj);
     T* Cb = mat_->block(bi, bj);
     const index_t row0 = bi * bs_;
     const index_t col0 = bj * bs_;
@@ -202,6 +148,40 @@ class BlockEngine {
   }
 
  private:
+  /// Writes block (bi,bj)'s seed (see NpdpInstance): the semiring zero on
+  /// padding and below-diagonal cells, init(i,i) on the diagonal, and off
+  /// the diagonal init(i,j) with Fig. 1's k == i relaxation folded in —
+  /// or, in general mode, the zero. Resets its argmin block, when
+  /// attached, to -1.
+  void seed_block(index_t bi, index_t bj) {
+    T* Cb = mat_->block(bi, bj);
+    const index_t cells = bs_ * bs_;
+    std::fill(Cb, Cb + cells, S::zero());
+    if (argm_ != nullptr) {
+      T* Kb = argm_->data() + (Cb - mat_->data());
+      std::fill(Kb, Kb + cells, T(-1));
+    }
+    const bool diag = bi == bj;
+    if (general_ && !diag) return;
+    const index_t n = inst_->n;
+    const index_t row0 = bi * bs_;
+    const index_t col0 = bj * bs_;
+    const index_t rows = std::min(bs_, n - row0);
+    const index_t cols = std::min(bs_, n - col0);
+    for (index_t r = 0; r < rows; ++r) {
+      const index_t gi = row0 + r;
+      const T dii = inst_->init(gi, gi);
+      T* row = Cb + r * bs_;
+      if (diag) row[r] = dii;
+      if (general_) continue;
+      for (index_t c = diag ? r + 1 : 0; c < cols; ++c) {
+        const T init = inst_->init(gi, col0 + c);
+        const T self = S::times(init, dii);  // Fig. 1's k == i relaxation
+        row[c] = S::plus(init, self);
+      }
+    }
+  }
+
   const T* tile(const T* base, index_t rt, index_t ct) const {
     return base + rt * kern_.width * bs_ + ct * kern_.width;
   }

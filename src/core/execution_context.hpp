@@ -48,13 +48,14 @@ struct ExecutionContext {
   SolveStats* stats = nullptr;
 
   /// Optional caller-owned workspace. A backend that solves into a
-  /// blocked table uses this (after reset() by the caller) instead of
-  /// allocating, so a serving layer can reuse one arena across requests
-  /// of the same shape. Must match the instance/tuning geometry when set.
+  /// blocked table uses this instead of allocating, so a serving layer can
+  /// reuse one arena across requests of the same shape without clearing
+  /// it. Must match the instance/tuning geometry and be padded with the
+  /// instance semiring's zero when set.
   BlockedTriangularMatrix<float>* arena = nullptr;
 
   /// Per-block re-execution on failure (default: disabled). When enabled,
-  /// the blocked solve re-seeds and re-runs a memory block whose
+  /// the blocked solve re-runs (from a fresh seed) a memory block whose
   /// relaxation threw, up to retry.max_attempts, instead of aborting.
   RetryPolicy retry;
 

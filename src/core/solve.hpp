@@ -9,10 +9,14 @@
 // ascending, rows descending. With one worker and sched_side 1 the whole
 // solve walks the Fig. 4(b) order on the calling thread.
 //
-// Cancellation is polled at memory-block granularity (one relaxed atomic
-// load per block, nothing on the kernel path): a cancelled solve returns
+// Each memory block is seeded by the step that relaxes it
+// (BlockEngine::compute_block), so no pass runs before the scheduler and
+// the table only needs the semiring zero as its pad. Cancellation is
+// polled at memory-block granularity (one relaxed atomic load per block,
+// nothing on the kernel path): a cancelled solve returns
 // SolveStatus::Cancelled with a partial but never torn matrix — every
-// block is either fully relaxed or untouched since seeding.
+// block is either fully relaxed or still holds what the caller's table
+// held before the solve.
 #pragma once
 
 #include <algorithm>
@@ -38,7 +42,7 @@ namespace detail {
 /// scribbles deterministic garbage over the first half of the block —
 /// modelling a torn DMA. The garbage is negative, below any reachable
 /// cell value, so it cannot be silently absorbed by further min()s; only
-/// detection and re-seeding fix it.
+/// detection and a recompute, which re-seeds the block, fix it.
 template <class T>
 void maybe_corrupt_block(BlockedTriangularMatrix<T>& mat, index_t bi,
                          index_t bj) {
@@ -50,19 +54,17 @@ void maybe_corrupt_block(BlockedTriangularMatrix<T>& mat, index_t bi,
     b[c] = static_cast<T>(-1e6) - static_cast<T>(c % 97);
 }
 
-/// Runs a seeded engine over `sched`, whose task (si,sj) covers the
+/// Runs `engine` over `sched`, whose task (si,sj) covers the
 /// sched_side-square of memory blocks at (si,sj), walked columns
 /// ascending, rows descending. Every memory block goes through the one
-/// per-block step. In order: cancel poll; the relaxation, re-run after a
-/// re-seed when it throws and ctx.retry allows; with checksums, a
-/// record/verify round-trip that re-seeds and recomputes a corrupted
-/// block; work counted into the calling worker's own EngineStats; then
-/// on_finished(bi, bj). Re-execution always re-seeds first: general-mode
-/// finalize_cell is not idempotent, and a re-seeded block re-reads exactly
-/// what its first run read (its inputs are final), so it lands
-/// bit-identical. Fills ctx.stats (when set). Returns true when every task
-/// of the triangle finished; rethrows a block that failed past its
-/// retries.
+/// per-block step. In order: cancel poll; the relaxation, re-run when it
+/// throws and ctx.retry allows; with checksums, a record/verify round-trip
+/// that recomputes a corrupted block; work counted into the calling
+/// worker's own EngineStats; then on_finished(bi, bj). compute_block seeds
+/// the block on every run, and a re-run re-reads exactly what the first
+/// run read (its inputs are final), so it lands bit-identical. Fills
+/// ctx.stats (when set). Returns true when every task of the triangle
+/// finished; rethrows a block that failed past its retries.
 template <class T, class S, class OnFinished>
 bool run_blocks(BlockScheduler& sched, BlockEngine<T, S>& engine,
                 BlockedTriangularMatrix<T>& mat, const ExecutionContext& ctx,
@@ -92,7 +94,6 @@ bool run_blocks(BlockScheduler& sched, BlockEngine<T, S>& engine,
           attempt + 1, (static_cast<std::uint64_t>(bi) << 32) ^
                            static_cast<std::uint64_t>(bj));
       if (delay.count() > 0) std::this_thread::sleep_for(delay);
-      engine.seed_block(bi, bj);
     }
   };
   auto step = [&](index_t bi, index_t bj, EngineStats& local) {
@@ -113,7 +114,6 @@ bool run_blocks(BlockScheduler& sched, BlockEngine<T, S>& engine,
         ++repairs;
         repairs_ctr.add();
         CELLNPDP_TRACE_INSTANT("sched", "block_repair", bi, bj);
-        engine.seed_block(bi, bj);
         engine.compute_block(bi, bj, st);
         sums->record(bi, bj);
       }
@@ -141,12 +141,12 @@ bool run_blocks(BlockScheduler& sched, BlockEngine<T, S>& engine,
   return complete;
 }
 
-/// Solves with a seeded engine on this process alone: every task owned,
-/// tuning.threads workers.
+/// Solves every block of the triangle on this process alone: every task
+/// owned, tuning.threads workers.
 template <class T, class S>
-SolveStatus solve_seeded(BlockEngine<T, S>& engine,
-                         BlockedTriangularMatrix<T>& mat,
-                         const ExecutionContext& ctx, bool checksums) {
+SolveStatus solve_local(BlockEngine<T, S>& engine,
+                        BlockedTriangularMatrix<T>& mat,
+                        const ExecutionContext& ctx, bool checksums) {
   const index_t ss = std::max<index_t>(1, ctx.tuning.sched_side);
   BlockScheduler::Options o;
   o.side = ceil_div(engine.blocks_per_side(), ss);
@@ -161,10 +161,11 @@ SolveStatus solve_seeded(BlockEngine<T, S>& engine,
 }  // namespace detail
 
 /// Blocked solve into a caller-owned matrix, which must already match the
-/// instance/context geometry and hold the semiring zero in every cell
-/// (freshly constructed or reset() with the right pad) — so a serving
-/// layer can reuse one arena across requests of the same shape. Runs
-/// ctx.tuning.threads workers; re-runs a block that throws up to
+/// instance/context geometry and have the semiring zero as its pad(). Its
+/// cells may hold anything — a previous solve, a cancelled one, garbage:
+/// every block is seeded before it is relaxed, so a serving layer can
+/// reuse one arena across requests of the same shape without clearing
+/// it. Runs ctx.tuning.threads workers; re-runs a block that throws up to
 /// ctx.retry.max_attempts; with `checksums`, verifies every block after
 /// relaxation and repairs a mismatch. Dispatches on inst.semiring.
 template <class T>
@@ -175,8 +176,7 @@ SolveStatus solve_blocked_into(BlockedTriangularMatrix<T>& mat,
   CELLNPDP_TRACE_SPAN("solve", "solve_blocked");
   return with_semiring<T>(inst.semiring, [&](auto s) {
     BlockEngine<T, decltype(s)> engine(mat, inst, ctx.tuning);
-    engine.seed();
-    return detail::solve_seeded(engine, mat, ctx, checksums);
+    return detail::solve_local(engine, mat, ctx, checksums);
   });
 }
 

@@ -27,16 +27,16 @@ struct NpdpSolution {
 
 /// Solves with argmin tracking over the block scheduler (ctx.tuning
 /// threads), honouring the context's cancel token at memory-block
-/// granularity. On Cancelled the solution holds a partial (never torn)
-/// pair of tables.
+/// granularity. Both tables may hold anything beforehand, as long as
+/// sol.values is padded with the min-plus zero. On Cancelled the solution
+/// holds a partial (never torn) pair of tables.
 template <class T>
 SolveStatus solve_blocked_with_argmin_into(NpdpSolution<T>& sol,
                                            const NpdpInstance<T>& inst,
                                            const ExecutionContext& ctx) {
   BlockEngine<T> engine(sol.values, inst, ctx.tuning);
   engine.set_argmin(&sol.argmin);
-  engine.seed();
-  return detail::solve_seeded(engine, sol.values, ctx, /*checksums=*/false);
+  return detail::solve_local(engine, sol.values, ctx, /*checksums=*/false);
 }
 
 /// Solves with argmin tracking (allocating form).

@@ -7,6 +7,9 @@
 // assembled matrix — bit-identical to the single-process solve, because
 // an owned block is only relaxed once its full input set is final and
 // remote blocks are exact byte copies of the bytes their owner computed.
+// A peer seeds only the blocks it owns, each as the first step of
+// computing it, so its workers and its receivers never write the same
+// slab region and no seeding pass has to finish before receiving starts.
 //
 // The schedule is the one block scheduler (taskgraph/block_scheduler.hpp)
 // with memory-block tasks and column-cyclic ownership: receivers hand
@@ -155,10 +158,6 @@ class PeerSolveRun {
     hello.semiring = static_cast<std::uint8_t>(inst_.semiring);
     hello.elem_bytes = static_cast<std::uint8_t>(sizeof(T));
     group_.establish(hello);
-
-    // Seed the full matrix BEFORE receivers start: a remote block that
-    // lands early must never race the seeding writes to its slab.
-    engine_.seed();
     group_.start_receiving(
         [this](std::uint32_t src, const net::FrameHeader& h,
                const std::uint8_t* payload, std::size_t len) {
@@ -351,11 +350,12 @@ class PeerSolveRun {
 
 }  // namespace detail
 
-/// One peer's share of a distributed solve. `mat` must be freshly
-/// constructed (or reset) with the semiring zero and match the
-/// instance/tuning geometry; on return it holds the COMPLETE assembled
-/// matrix. Throws DistError on any peer failure; never hangs past the
-/// stall timeout.
+/// One peer's share of a distributed solve. `mat` must match the
+/// instance/tuning geometry and have the semiring zero as its pad(); its
+/// cells may hold anything, since every block is either computed here
+/// (which seeds it first) or copied in from its owner. On return it holds
+/// the COMPLETE assembled matrix. Throws DistError on any peer failure;
+/// never hangs past the stall timeout.
 template <class T>
 SolveStatus solve_distributed_into(BlockedTriangularMatrix<T>& mat,
                                    const NpdpInstance<T>& inst,

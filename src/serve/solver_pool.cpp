@@ -116,10 +116,11 @@ SolveOutcome SolverPool::execute(const Request& req, const CancelToken& cancel,
       bool reused = false;
       if (be.caps().arena) {
         a = checkout(s->n, s->block_side, &reused);
-        // Re-pad when the arena was used before or was constructed for a
-        // different semiring (fresh arenas come min-plus-padded).
+        // The solve seeds every block it relaxes, so a reused arena needs
+        // no clearing; only its pad must match the semiring (fresh arenas
+        // come min-plus-padded).
         const float pad = semiring_zero<float>(s->semiring);
-        if (reused || a->mat->pad() != pad) a->mat->reset(pad);
+        if (a->mat->pad() != pad) a->mat->reset(pad);
         ctx.arena = a->mat.get();
       }
       backend::BackendResult r;

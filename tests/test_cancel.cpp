@@ -269,7 +269,9 @@ TEST(SolveCancel, MidSolveCancelThenArenaReuseIsBitIdentical) {
   EXPECT_EQ(max_abs_diff(solve_reference(inst), mat), 0.0);
 }
 
-TEST(SolveCancel, SerialSolvePreCancelledLeavesSeededTable) {
+TEST(SolveCancel, SerialSolvePreCancelledLeavesTableUntouched) {
+  // Blocks are seeded by the step that relaxes them, so a block the solve
+  // never reached keeps what the caller's table held.
   const auto inst = pure_instance(64);
   BlockedTriangularMatrix<float> mat(inst.n, 16);
   ExecutionContext ctx;
@@ -281,6 +283,8 @@ TEST(SolveCancel, SerialSolvePreCancelledLeavesSeededTable) {
   EXPECT_EQ(solve_blocked_into(mat, inst, ctx),
             SolveStatus::Cancelled);
   EXPECT_EQ(ss.tasks, 0);
+  for (index_t c = 0; c < mat.total_cells(); ++c)
+    ASSERT_EQ(mat.data()[c], mat.pad()) << "cell " << c;
 }
 
 TEST(SolveCancel, BaselinesObserveExplicitCancel) {

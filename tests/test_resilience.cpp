@@ -303,6 +303,37 @@ TEST(ResilientSolve, GeneralModeRepairReseedsBeforeRecompute) {
   EXPECT_TRUE(tables_identical(clean, healed));
 }
 
+TEST(ResilientSolve, FiredFaultLogReplaysByteIdentically) {
+  // The replay contract of --fault-log: one worker, one seeded plan under
+  // which both sites fire, solved twice. Both recovery paths must run,
+  // both tables must equal the clean solve, and both logs must match.
+  const index_t n = 256, bs = 32;
+  NpdpInstance<float> inst = pure_instance(n, 29);
+  ExecutionContext ctx;
+  ctx.tuning.block_side = bs;
+  BlockedTriangularMatrix<float> clean(n, bs);
+  solve_blocked_into(clean, inst, ctx);
+
+  FaultPlan plan;
+  plan.seed = 42;
+  plan.rules.push_back({FaultSite::TaskThrow, 0.1, -1, 0});
+  plan.rules.push_back({FaultSite::BlockCorrupt, 0.1, -1, 0});
+  std::string logs[2];
+  for (std::string& log : logs) {
+    FaultInjectionScope scope(plan);
+    BlockedTriangularMatrix<float> healed(n, bs);
+    SolveStats rep;
+    ASSERT_EQ(solve_healing(healed, inst, ctx, &rep), SolveStatus::Ok);
+    EXPECT_GT(rep.block_retries, 0);
+    EXPECT_GT(rep.block_repairs, 0);
+    EXPECT_TRUE(tables_identical(clean, healed));
+    std::ostringstream os;
+    scope.injector().write_log(os);
+    log = os.str();
+  }
+  EXPECT_EQ(logs[0], logs[1]);
+}
+
 TEST(ResilientSolve, ResilientBackendMatchesBlockedSerial) {
   const auto& resilient = backend::require_backend("resilient");
   EXPECT_TRUE(resilient.caps().self_checking);

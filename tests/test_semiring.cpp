@@ -2,7 +2,8 @@
 // the blocked SIMD engine must match the semiring-generic scalar reference
 // element-for-element with NO tolerance, across block sizes, kernels,
 // thread counts, fault recovery, and instance modes (pure / weighted /
-// separable).
+// separable) — and solve a garbage-filled arena exactly as it solves a
+// fresh table.
 //
 // Bit-exactness across the blocked/SIMD reordering holds because:
 //   - min-plus / max-plus / viterbi-log are idempotent selections over
@@ -15,6 +16,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -23,6 +25,7 @@
 #include "core/maxplus.hpp"
 #include "core/reference.hpp"
 #include "core/solve.hpp"
+#include "core/traceback.hpp"
 #include "layout/convert.hpp"
 #include "resilience/fault_injector.hpp"
 
@@ -255,6 +258,108 @@ TEST(SemiringProperty, ResilientBackendHealsFaultsOnEverySemiring) {
                                  "/" + std::to_string(threads) + "t";
         expect_identical(clean, to_triangular(*r.blocked), what.c_str());
       }
+    }
+  }
+}
+
+/// Overwrites every cell of `mat`, padding and below-diagonal cells
+/// included, with deterministic garbage; pad() is left as it was.
+template <class T>
+void fill_garbage(BlockedTriangularMatrix<T>& mat, std::uint64_t seed) {
+  SplitMix64 rng(seed);
+  for (index_t c = 0; c < mat.total_cells(); ++c)
+    mat.data()[c] = T(rng.next_in(-1e6, 1e6));
+}
+
+template <class T>
+bool same_bytes(const BlockedTriangularMatrix<T>& a,
+                const BlockedTriangularMatrix<T>& b) {
+  return a.total_cells() == b.total_cells() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.total_cells()) * sizeof(T)) ==
+             0;
+}
+
+/// Solves `inst` into a garbage-filled table padded with the semiring zero
+/// and requires every byte, padding included, to equal a fresh solve.
+template <class T>
+void expect_dirty_arena_solves_fresh(const NpdpInstance<T>& inst,
+                                     const NpdpOptions& opts, bool checksums,
+                                     const std::string& what) {
+  const auto fresh = solve_blocked(inst, opts);
+  BlockedTriangularMatrix<T> dirty(inst.n, opts.block_side,
+                                   semiring_zero<T>(inst.semiring));
+  fill_garbage(dirty, 99);
+  ExecutionContext ctx;
+  ctx.tuning = opts;
+  ASSERT_EQ(solve_blocked_into(dirty, inst, ctx, checksums), SolveStatus::Ok)
+      << what;
+  EXPECT_TRUE(same_bytes(fresh, dirty)) << what;
+}
+
+// solve_blocked_into seeds every block as it relaxes it, so an arena only
+// needs its pad() to be the semiring zero, not a table full of it. Counting
+// runs in double at the property sweep's exact sizes; block side 4 gives it
+// three blocks per side, padding for n = 10 and 9.
+TEST(SemiringProperty, DirtyArenaSolvesLikeAFreshTable) {
+  for (SemiringId sr : kAll) {
+    const bool counting = sr == SemiringId::Counting;
+    for (Mode mode : {Mode::Pure, Mode::Weighted, Mode::Separable}) {
+      for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        for (bool checksums : {false, true}) {
+          NpdpOptions opts;
+          opts.block_side = counting ? 4 : 16;
+          opts.threads = threads;
+          const std::string what =
+              std::string(semiring_name(sr)) + "/mode" +
+              std::to_string(static_cast<int>(mode)) + "/" +
+              std::to_string(threads) + "t" + (checksums ? "/checksums" : "");
+          if (counting) {
+            const index_t n = mode == Mode::Pure        ? 12
+                              : mode == Mode::Weighted  ? 10
+                                                        : 9;
+            std::vector<double> factors;
+            expect_dirty_arena_solves_fresh(
+                make_instance<double>(sr, mode, n, 3, &factors), opts,
+                checksums, what);
+          } else {
+            std::vector<float> factors;
+            expect_dirty_arena_solves_fresh(
+                make_instance<float>(sr, mode, 75, 3, &factors), opts,
+                checksums, what);
+          }
+        }
+      }
+    }
+  }
+}
+
+// The argmin solve seeds its value and argmin blocks together: both tables
+// may start out as garbage.
+TEST(SemiringProperty, DirtyArgminTablesSolveLikeFreshOnes) {
+  for (Mode mode : {Mode::Pure, Mode::Weighted, Mode::Separable}) {
+    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      std::vector<float> factors;
+      const auto inst =
+          make_instance<float>(SemiringId::MinPlus, mode, 75, 3, &factors);
+      NpdpOptions opts;
+      opts.block_side = 16;
+      opts.threads = threads;
+      const auto fresh = solve_blocked_with_argmin(inst, opts);
+      NpdpSolution<float> dirty{
+          BlockedTriangularMatrix<float>(inst.n, opts.block_side),
+          BlockedTriangularMatrix<float>(inst.n, opts.block_side)};
+      fill_garbage(dirty.values, 5);
+      fill_garbage(dirty.argmin, 6);
+      ExecutionContext ctx;
+      ctx.tuning = opts;
+      ASSERT_EQ(solve_blocked_with_argmin_into(dirty, inst, ctx),
+                SolveStatus::Ok);
+      const std::string what = "mode" +
+                               std::to_string(static_cast<int>(mode)) + "/" +
+                               std::to_string(threads) + "t";
+      EXPECT_TRUE(same_bytes(fresh.values, dirty.values)) << what;
+      EXPECT_TRUE(same_bytes(fresh.argmin, dirty.argmin)) << what;
     }
   }
 }

@@ -321,6 +321,22 @@ TEST(SolverPool, ReusedArenaGivesIdenticalResults) {
   ASSERT_TRUE(other.ok) << other.error;
   EXPECT_TRUE(other.arena_reused);
   EXPECT_EQ(static_cast<float>(other.value), direct_solve_value(64, 2, 32));
+  // Nor after a semiring switch (the one re-pad left) or a cancelled solve.
+  Request counting = solve_request(64, 3);
+  std::get<SolveSpec>(counting.payload).semiring = SemiringId::Counting;
+  ASSERT_TRUE(pool.execute(counting).ok);
+  const SolveOutcome after_switch = pool.execute(solve_request(64, 4));
+  ASSERT_TRUE(after_switch.ok) << after_switch.error;
+  EXPECT_EQ(static_cast<float>(after_switch.value),
+            direct_solve_value(64, 4, 32));
+  const CancelToken tripped = CancelToken::armed();
+  tripped.request_cancel();
+  EXPECT_TRUE(pool.execute(solve_request(64, 5), tripped).cancelled);
+  const SolveOutcome after_cancel = pool.execute(solve_request(64, 6));
+  ASSERT_TRUE(after_cancel.ok) << after_cancel.error;
+  EXPECT_EQ(static_cast<float>(after_cancel.value),
+            direct_solve_value(64, 6, 32));
+  EXPECT_EQ(pool.arena_allocations(), 1u);
 }
 
 TEST(SolverPool, FoldAndParseRequestsExecute) {

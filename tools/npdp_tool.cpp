@@ -72,6 +72,7 @@
 // Exit codes: 0 success, 1 runtime error, 2 unknown subcommand,
 // 3 bad arguments (missing/duplicate/malformed flags, unknown --backend).
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -98,7 +99,6 @@
 #include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
-#include "core/maxplus.hpp"
 #include "core/solve.hpp"
 #include "dist/in_process.hpp"
 #include "dist/stats_endpoint.hpp"
@@ -132,6 +132,15 @@ struct UsageError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Parses all of `s` as a number; false when nothing parses, anything is
+/// left over, or the value is out of range for N.
+template <class N>
+bool parse_whole(const std::string& s, N* out) {
+  const char* end = s.data() + s.size();
+  const auto [p, ec] = std::from_chars(s.data(), end, *out);
+  return ec == std::errc() && p == end;
+}
+
 struct Args {
   std::map<std::string, std::string> kv;
   bool has(const std::string& k) const { return kv.count(k) > 0; }
@@ -145,13 +154,22 @@ struct Args {
     if (it == kv.end()) throw UsageError("missing required flag --" + k);
     return it->second;
   }
-  long num(const std::string& k, long dflt) const {
-    auto it = kv.find(k);
-    return it == kv.end() ? dflt : std::atol(it->second.c_str());
-  }
+  long num(const std::string& k, long dflt) const { return number(k, dflt); }
   double real(const std::string& k, double dflt) const {
+    return number(k, dflt);
+  }
+
+ private:
+  /// Value of a numeric flag, `dflt` when absent; UsageError when the
+  /// value is not wholly a number of type N.
+  template <class N>
+  N number(const std::string& k, N dflt) const {
     auto it = kv.find(k);
-    return it == kv.end() ? dflt : std::atof(it->second.c_str());
+    if (it == kv.end()) return dflt;
+    N v{};
+    if (!parse_whole(it->second, &v))
+      throw UsageError("--" + k + ": '" + it->second + "' is not a number");
+    return v;
   }
 };
 
@@ -1304,8 +1322,9 @@ std::vector<router::ReplicaEndpoint> parse_endpoint_list(
       throw UsageError(std::string("--") + flag + ": '" + item +
                        "' is not host:port");
     ep.host = item.substr(0, colon);
-    const long port = std::atol(item.c_str() + colon + 1);
-    if (port <= 0 || port > 65535)
+    long port = 0;
+    if (!parse_whole(item.substr(colon + 1), &port) || port <= 0 ||
+        port > 65535)
       throw UsageError(std::string("--") + flag + ": bad port in '" + item +
                        "'");
     ep.port = static_cast<std::uint16_t>(port);
