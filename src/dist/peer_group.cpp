@@ -41,36 +41,6 @@ std::string describe(const PeerEndpoint& e) {
 
 }  // namespace
 
-std::vector<PeerEndpoint> parse_peer_list(const std::string& spec) {
-  std::vector<PeerEndpoint> out;
-  std::size_t start = 0;
-  while (start <= spec.size()) {
-    const std::size_t comma = spec.find(',', start);
-    const std::string item =
-        spec.substr(start, comma == std::string::npos ? std::string::npos
-                                                      : comma - start);
-    const std::size_t colon = item.rfind(':');
-    if (colon == std::string::npos || colon == 0 || colon + 1 >= item.size())
-      throw DistError("peer list: expected host:port, got '" + item + "'");
-    const std::string port_s = item.substr(colon + 1);
-    long port = 0;
-    for (const char c : port_s) {
-      if (c < '0' || c > '9')
-        throw DistError("peer list: bad port in '" + item + "'");
-      port = port * 10 + (c - '0');
-      if (port > 65535)
-        throw DistError("peer list: port out of range in '" + item + "'");
-    }
-    PeerEndpoint e;
-    e.host = item.substr(0, colon);
-    e.port = static_cast<std::uint16_t>(port);
-    out.push_back(std::move(e));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
 PeerGroup::PeerGroup(std::uint32_t rank, std::vector<PeerEndpoint> endpoints,
                      PeerGroupOptions opts)
     : rank_(rank),

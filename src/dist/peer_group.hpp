@@ -46,10 +46,6 @@ struct PeerEndpoint {
   std::uint16_t port = 0;
 };
 
-/// Parses "host:port[,host:port...]" into endpoints; throws DistError on
-/// malformed input (missing colon, port out of range).
-std::vector<PeerEndpoint> parse_peer_list(const std::string& spec);
-
 struct PeerGroupOptions {
   int connect_timeout_ms = 5000;  ///< total budget to build the full mesh
   std::size_t max_frame = net::kDefaultMaxFrame;

@@ -339,18 +339,5 @@ TEST(DistSolve, NeedsAtLeastTwoPeers) {
                dist::DistError);
 }
 
-TEST(PeerList, ParsesAndValidates) {
-  const auto eps =
-      dist::parse_peer_list("127.0.0.1:9001,10.0.0.2:9002,localhost:80");
-  ASSERT_EQ(eps.size(), 3u);
-  EXPECT_EQ(eps[0].host, "127.0.0.1");
-  EXPECT_EQ(eps[0].port, 9001);
-  EXPECT_EQ(eps[2].host, "localhost");
-  EXPECT_EQ(eps[2].port, 80);
-  EXPECT_THROW(dist::parse_peer_list("no-port"), dist::DistError);
-  EXPECT_THROW(dist::parse_peer_list("h:99999"), dist::DistError);
-  EXPECT_THROW(dist::parse_peer_list("h:12x"), dist::DistError);
-}
-
 }  // namespace
 }  // namespace cellnpdp

@@ -1,78 +1,15 @@
 // npdp — command-line front end to the cellnpdp library.
 //
-//   npdp solve     --n 4096 [--backend blocked-parallel] [--kernel simd128]
-//                  [--block 64] [--threads 8] [--seed 1] [--deadline-ms 50]
-//                  [--semiring min-plus|max-plus|counting|viterbi-log]
-//                  [--maxplus] [--save table.bin] [--retries 4]
-//                  [--fault-plan plan.json] [--fault-log fired.json]
-//                  [--trace out.json] [--metrics out.json] [--report]
-//   npdp backends  list the registered solver backends, capabilities, and
-//                  health (circuit-breaker state)
-//   npdp check-trace --file out.json [--min-workers 1] [--expect-tasks N]
-//   npdp info      --file table.bin
-//   npdp fold      --seq ACGU... | --random 500 [--seed 7] [--threads 4]
-//   npdp parse     --parens "(()())" | --anbn aaabbb
-//   npdp simulate  --n 4096 [--spes 16] [--block 88] [--dp] [--trace out.csv]
-//   npdp cluster   --n 4096 [--nodes 8] [--bw-gbps 3] [--lat-us 10]
-//   npdp dist-solve --rank R --peers host:port,host:port,... [--n 4096]
-//                  [--seed 1] [--block 64] [--kernel simd128] [--threads 1]
-//                  [--semiring min-plus|max-plus|counting|viterbi-log]
-//                  [--save table.bin] [--stats-port 0] [--port-file FILE]
-//                  [--connect-timeout-ms 10000] [--stall-timeout-ms 60000]
-//                  (one peer of a P-process distributed solve; every peer
-//                  must pass the same --peers list, --n, --seed, --block
-//                  and --semiring, and its own --rank; docs/distributed.md)
-//   npdp model     --n 4096 [--spes 16]
-//   npdp serve     --requests <file|-> [--workers 4] [--queue 256]
-//                  [--policy block|reject|shed] [--cache 1024] [--batch 8]
-//                  [--backend blocked-serial] [--retries 3] [--breaker]
-//                  [--fallback reference] [--hedge] [--fault-plan plan.json]
-//   npdp bench-serve --requests 1000 [--workers 4] [--mode closed|open]
-//                  [--concurrency 8] [--rate 500] [--distinct 25]
-//                  [--policy block] [--json-dir .] [--backend blocked-serial]
-//                  [--retries 3] [--breaker] [--fallback NAME] [--hedge]
-//                  [--fault-plan plan.json]
-//   npdp net-serve [--host 127.0.0.1] [--port 9377] [--reactors 2]
-//                  [--max-frame 1048576] [--idle-timeout-ms 30000]
-//                  [--drain-timeout-ms 5000] [--port-file FILE]
-//                  [--duration-ms 0] [--trace FILE] [--request-log FILE]
-//                  [--log-sample N] + all serve service flags, including
-//                  [--tenants "ID:name=N:rate=R:burst=B:weight=W:
-//                  cache-kb=K/ID2:..."] for per-tenant QoS policies
-//                  (runs until SIGINT/SIGTERM, then drains gracefully)
-//   npdp net-bench --port 9377 [--host 127.0.0.1] [--connections 4]
-//                  [--targets host:port,host:port,...] [--rate 0]
-//                  [--duration 2] [--requests 0] [--mix chain]
-//                  [--semiring NAME|mix] [--size 32] [--distinct 16]
-//                  [--deadline-ms 0] [--tenant 0]
-//                  [--priority 0] [--backend NAME] [--seed 1] [--json-dir .]
-//                  [--connect-timeout-ms 0] [--trace FILE] [--trace-sample R]
-//                  (closed loop when --rate 0; writes BENCH_net.json with
-//                  per-target status counts when --targets names several;
-//                  open-loop runs also report coordinated-omission-
-//                  corrected p50/p99 and the count of slipped intervals)
-//   npdp net-route --replicas [name=]host:port,... [--host 127.0.0.1]
-//                  [--port 9378] [--reactors 2] [--vnodes 64]
-//                  [--max-attempts 3] [--probe-interval-ms 200]
-//                  [--probe-timeout-ms 1000] [--connect-timeout-ms 1000]
-//                  [--max-frame 1048576] [--idle-timeout-ms 30000]
-//                  [--drain-timeout-ms 5000] [--port-file FILE]
-//                  [--duration-ms 0] [--trace FILE]
-//                  (consistent-hash router over net-serve replicas;
-//                  runs until SIGINT/SIGTERM, then drains gracefully)
-//   npdp top       --port 9377 [--host 127.0.0.1] [--interval-ms 1000]
-//                  [--iterations 0] [--once] [--prom]
-//                  (live stats view over the StatsRequest wire frame, with
-//                  a per-tenant QoS table when the server runs tenanted;
-//                  --prom dumps Prometheus text exposition instead)
-//   npdp merge-traces --out merged.json --client a.json --server b.json
-//   npdp check-trace --file out.json --chains [--min-chain-frac 0.99]
-//                  (request-chain mode: validates trace-id correlation)
+// Every subcommand declares its flags once through cli::Flags
+// (tools/cli.hpp) and checks the command line against them before it does
+// any work. `npdp` with no arguments prints each subcommand with its
+// flags, defaults and help, generated from those declarations.
 //
 // Exit codes: 0 success, 1 runtime error, 2 unknown subcommand,
-// 3 bad arguments (missing/duplicate/malformed flags, unknown --backend).
+// 3 bad arguments (an undeclared, repeated, value-less or malformed flag,
+// a positional word, a value outside a choice list, a missing required
+// flag).
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -83,6 +20,7 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -95,6 +33,7 @@
 #include "bench_util/json_out.hpp"
 #include "bench_util/table.hpp"
 #include "cellsim/npdp_sim.hpp"
+#include "cli.hpp"
 #include "cluster/cluster_sim.hpp"
 #include "common/json.hpp"
 #include "common/rng.hpp"
@@ -122,173 +61,182 @@
 #include "serve/tenant.hpp"
 
 using namespace cellnpdp;
+using cli::UsageError;
 
 namespace {
 
-/// Bad command-line arguments: missing, duplicate, or malformed flags.
-/// Reported on stderr and mapped to exit code 3 (a distinct code from the
-/// unknown-subcommand 2, so scripts can tell the two apart).
-struct UsageError : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
-
-/// Parses all of `s` as a number; false when nothing parses, anything is
-/// left over, or the value is out of range for N.
-template <class N>
-bool parse_whole(const std::string& s, N* out) {
-  const char* end = s.data() + s.size();
-  const auto [p, ec] = std::from_chars(s.data(), end, *out);
-  return ec == std::errc() && p == end;
+/// {name(v), v} for each of `values`: choices spelled as the library
+/// names them.
+template <class E, class Name>
+std::vector<std::pair<std::string, E>> named(std::initializer_list<E> vs,
+                                             Name name) {
+  std::vector<std::pair<std::string, E>> out;
+  for (const E v : vs) out.emplace_back(name(v), v);
+  return out;
 }
 
-struct Args {
-  std::map<std::string, std::string> kv;
-  bool has(const std::string& k) const { return kv.count(k) > 0; }
-  std::string get(const std::string& k, const std::string& dflt = "") const {
-    auto it = kv.find(k);
-    return it == kv.end() ? dflt : it->second;
-  }
-  /// Value of a required flag; UsageError when absent.
-  std::string need(const std::string& k) const {
-    auto it = kv.find(k);
-    if (it == kv.end()) throw UsageError("missing required flag --" + k);
-    return it->second;
-  }
-  long num(const std::string& k, long dflt) const { return number(k, dflt); }
-  double real(const std::string& k, double dflt) const {
-    return number(k, dflt);
-  }
+const auto kSemirings = named({SemiringId::MinPlus, SemiringId::MaxPlus,
+                               SemiringId::Counting, SemiringId::ViterbiLog},
+                              semiring_name);
 
- private:
-  /// Value of a numeric flag, `dflt` when absent; UsageError when the
-  /// value is not wholly a number of type N.
-  template <class N>
-  N number(const std::string& k, N dflt) const {
-    auto it = kv.find(k);
-    if (it == kv.end()) return dflt;
-    N v{};
-    if (!parse_whole(it->second, &v))
-      throw UsageError("--" + k + ": '" + it->second + "' is not a number");
-    return v;
+/// Every registered backend's name: the choices of --backend/--fallback.
+std::vector<std::string> backend_names() {
+  std::vector<std::string> out;
+  for (const auto* b : backend::BackendRegistry::instance().list())
+    out.emplace_back(b->name());
+  return out;
+}
+
+/// Opens `path` for writing; false, after "<who>: cannot write <path>"
+/// on stderr, when it cannot.
+bool open_out(std::ofstream& os, const std::string& path, const char* who) {
+  os.open(path);
+  if (!os) std::fprintf(stderr, "%s: cannot write %s\n", who, path.c_str());
+  return bool(os);
+}
+
+/// --n --seed --semiring --block --kernel --threads: the seeded float
+/// instance that solve and dist-solve build, and the tuning that solves
+/// it. The same flags give the same table in both, so a dist-solve rank's
+/// saved table can be compared byte for byte with `npdp solve --save`.
+struct Workload {
+  index_t n = 1024;
+  std::uint64_t seed = 1;
+  SemiringId semiring = SemiringId::MinPlus;
+  NpdpOptions tuning;
+
+  void declare(cli::Flags& f) {
+    f.value("n", &n, "problem size: table side in cells")
+        .value("seed", &seed, "instance seed")
+        .choice("semiring", &semiring, kSemirings, "semiring to solve over")
+        .value("block", &tuning.block_side, "memory-block side in cells")
+        .choice("kernel", &tuning.kernel,
+                named({KernelKind::Scalar, KernelKind::Native,
+                       KernelKind::Wide}, kernel_kind_name),
+                "computing-block kernel")
+        .value("threads", &tuning.threads, "solver threads");
+  }
+  NpdpInstance<float> instance() const {
+    NpdpInstance<float> inst;
+    inst.n = n;
+    inst.semiring = semiring;
+    inst.init = [seed = seed, sr = semiring](index_t i, index_t j) {
+      return semiring_init_value<float>(sr, seed, i, j);
+    };
+    return inst;
   }
 };
 
-Args parse_args(int argc, char** argv, int first) {
-  Args a;
-  for (int i = first; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) continue;
-    key = key.substr(2);
-    if (a.kv.count(key) > 0)
-      throw UsageError("duplicate flag --" + key);
-    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      a.kv[key] = argv[++i];
-    } else {
-      a.kv[key] = "1";
+/// --trace FILE --trace-buf N: records spans while the subcommand runs
+/// and writes them as Chrome trace-event JSON.
+struct TraceFlags {
+  std::string file;
+  std::size_t buf = 1 << 18;
+
+  void declare(cli::Flags& f) {
+    f.value("trace FILE", &file, "write spans to FILE as Chrome trace JSON")
+        .value("trace-buf", &buf, "span ring capacity per thread");
+  }
+  bool on() const { return !file.empty(); }
+  void start() const {
+    if (on()) obs::Tracer::instance().start(buf);
+  }
+  /// Stops tracing and writes FILE as process `process`; false when FILE
+  /// cannot be written.
+  bool finish(const char* who, const char* process) const {
+    if (!on()) return true;
+    obs::Tracer::instance().stop();
+    const long events = obs::export_chrome_trace(file, process);
+    if (events < 0) {
+      std::fprintf(stderr, "%s: cannot write %s\n", who, file.c_str());
+      return false;
     }
+    std::printf("%s: trace written to %s (%ld events; open in "
+                "https://ui.perfetto.dev)\n", who, file.c_str(), events);
+    std::uint64_t dropped = 0;
+    for (const auto& t : obs::Tracer::instance().snapshot())
+      dropped += t.dropped;
+    if (dropped > 0)
+      std::printf("warning: %llu events dropped (ring full); rerun with a "
+                  "larger --trace-buf\n",
+                  static_cast<unsigned long long>(dropped));
+    return true;
   }
-  return a;
-}
-
-KernelKind kernel_from(const std::string& s) {
-  if (s == "scalar") return KernelKind::Scalar;
-  if (s == "simd256") return KernelKind::Wide;
-  return KernelKind::Native;
-}
-
-/// Registry lookup with the CLI's error convention: an unknown name is a
-/// usage error (exit 3), with the known names in the message.
-const backend::SolverBackend& backend_from(const std::string& name) {
-  try {
-    return backend::require_backend(name);
-  } catch (const backend::UnknownBackendError& e) {
-    throw UsageError(e.what());
-  }
-}
+};
 
 /// --fault-plan FILE: parses the plan and installs it as the process-wide
-/// fault hook for the scope's lifetime (null when the flag is absent).
-/// Malformed plans are usage errors (exit 3).
+/// fault hook for the scope's lifetime (null without a plan). Malformed
+/// plans are usage errors (exit 3).
 std::unique_ptr<resilience::FaultInjectionScope> fault_scope_from(
-    const Args& a) {
-  if (!a.has("fault-plan")) return nullptr;
+    const std::string& path) {
+  if (path.empty()) return nullptr;
   resilience::FaultPlan plan;
   std::string err;
-  if (!resilience::fault_plan_from_file(a.get("fault-plan"), &plan, &err))
+  if (!resilience::fault_plan_from_file(path, &plan, &err))
     throw UsageError("--fault-plan: " + err);
   return std::make_unique<resilience::FaultInjectionScope>(std::move(plan));
 }
 
 /// --fault-log FILE: dumps the fired-fault log (the replay-determinism
 /// artifact) after a faulty run. Returns false on I/O failure.
-bool write_fault_log(const Args& a, resilience::FaultInjectionScope* scope) {
-  if (!a.has("fault-log") || scope == nullptr) return true;
-  std::ofstream os(a.get("fault-log"));
-  if (!os) {
-    std::fprintf(stderr, "error: cannot write %s\n",
-                 a.get("fault-log").c_str());
-    return false;
-  }
+bool write_fault_log(const std::string& path,
+                     resilience::FaultInjectionScope* scope) {
+  if (path.empty() || scope == nullptr) return true;
+  std::ofstream os;
+  if (!open_out(os, path, "error")) return false;
   scope->injector().write_log(os);
   return true;
 }
 
-int cmd_solve(const Args& a) {
-  NpdpInstance<float> inst;
-  inst.n = a.num("n", 1024);
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(a.num("seed", 1));
-  SemiringId sr = SemiringId::MinPlus;
-  if (a.has("semiring") &&
-      !semiring_from_name(a.get("semiring"), &sr))
-    throw UsageError("unknown semiring '" + a.get("semiring") +
-                     "' (min-plus|max-plus|counting|viterbi-log)");
+int cmd_solve(cli::Flags& f) {
+  Workload w;
+  bool maxplus = false, report = false;
+  std::string backend_name, save, metrics, fault_plan, fault_log;
+  std::optional<std::int64_t> deadline_ms;
+  ExecutionContext ctx;
+  TraceFlags trace;
+  w.declare(f);
   // --maxplus predates --semiring and stays as an alias; the engine runs
   // the native max-plus instantiation either way.
-  if (a.has("maxplus")) sr = SemiringId::MaxPlus;
-  inst.semiring = sr;
-  inst.init = [seed, sr](index_t i, index_t j) {
-    return semiring_init_value<float>(sr, seed, i, j);
-  };
-  NpdpOptions opts;
-  opts.block_side = a.num("block", 64);
-  opts.kernel = kernel_from(a.get("kernel", "simd128"));
-  opts.threads = static_cast<std::size_t>(a.num("threads", 1));
-
-  const std::string backend_name = a.get(
-      "backend", opts.threads > 1 ? "blocked-parallel" : "blocked-serial");
-  const backend::SolverBackend* be = &backend_from(backend_name);
-
-  const bool tracing = a.has("trace");
-  const bool want_report = a.has("report");
-  if (tracing)
-    obs::Tracer::instance().start(
-        static_cast<std::size_t>(a.num("trace-buf", 1 << 18)));
+  f.flag("maxplus", &maxplus, "same as --semiring max-plus")
+      .choice("backend NAME", &backend_name, backend_names(),
+              "solver (default blocked-parallel if --threads > 1, else "
+              "blocked-serial)")
+      .value("deadline-ms", &deadline_ms, "cancel the solve after this long")
+      .value("retries", &ctx.retry.max_attempts, "attempts per block (>= 1)")
+      .value("fault-plan FILE", &fault_plan, "inject the faults FILE plans")
+      .value("fault-log FILE", &fault_log, "write the fired faults to FILE")
+      .value("save FILE", &save, "write the solved table to FILE")
+      .value("metrics FILE", &metrics, "write the metrics registry to FILE")
+      .flag("report", &report, "print the utilization report");
+  trace.declare(f);
+  if (!f.parse()) return 0;
+  if (maxplus) w.semiring = SemiringId::MaxPlus;
+  if (backend_name.empty())
+    backend_name = w.tuning.threads > 1 ? "blocked-parallel" : "blocked-serial";
+  const backend::SolverBackend& be = backend::require_backend(backend_name);
+  const NpdpInstance<float> inst = w.instance();
+  const NpdpOptions& opts = w.tuning;
+  trace.start();
 
   // Activated before the solve so every fault site below sees the plan;
   // kept alive until after the log is written.
-  auto fault_scope = fault_scope_from(a);
+  auto fault_scope = fault_scope_from(fault_plan);
 
   Stopwatch sw;
   SolveStats ss;
-  SolveStats* ssp = (want_report || a.has("metrics")) ? &ss : nullptr;
-  ExecutionContext ctx;
   ctx.tuning = opts;
-  ctx.stats = ssp;
-  if (a.has("deadline-ms"))
-    ctx.cancel =
-        CancelToken::after(std::chrono::milliseconds(a.num("deadline-ms", 0)));
-  if (a.has("retries"))
-    ctx.retry.max_attempts =
-        std::max(1, static_cast<int>(a.num("retries", 1)));
+  ctx.stats = (report || !metrics.empty()) ? &ss : nullptr;
+  if (deadline_ms)
+    ctx.cancel = CancelToken::after(std::chrono::milliseconds(*deadline_ms));
+  ctx.retry.max_attempts = std::max(1, ctx.retry.max_attempts);
 
   double value = 0, sim_s = 0;
   std::shared_ptr<BlockedTriangularMatrix<float>> table;
   {
-    const backend::BackendResult r = be->solve(inst, ctx);
+    const backend::BackendResult r = be.solve(inst, ctx);
     if (r.status == SolveStatus::Cancelled) {
-      if (tracing) obs::Tracer::instance().stop();
-      write_fault_log(a, fault_scope.get());
+      write_fault_log(fault_log, fault_scope.get());
       std::printf("cancelled (%s) after %s: partial table discarded\n",
                   cancel_reason_name(ctx.cancel.reason()),
                   fmt_seconds(sw.seconds()).c_str());
@@ -299,11 +247,11 @@ int cmd_solve(const Args& a) {
     table = r.blocked;
   }
   const double s = sw.seconds();
-  if (tracing) obs::Tracer::instance().stop();
+  if (trace.on()) obs::Tracer::instance().stop();
   std::printf("solved n=%lld (%s: %s, %s, block %lld, %zu threads) in %s\n",
               static_cast<long long>(inst.n), backend_name.c_str(),
               std::string(kernel_kind_name(opts.kernel)).c_str(),
-              std::string(semiring_name(sr)).c_str(),
+              std::string(semiring_name(w.semiring)).c_str(),
               static_cast<long long>(opts.block_side), opts.threads,
               fmt_seconds(s).c_str());
   std::printf("d[0][n-1] = %g; %.2f G relax/s\n", value,
@@ -321,37 +269,20 @@ int cmd_solve(const Args& a) {
                   static_cast<long long>(inj.occurrences(site)));
     }
     std::printf(" (fired/occurrences)\n");
-    if (!write_fault_log(a, fault_scope.get())) return 1;
-    if (a.has("fault-log"))
-      std::printf("fault log written to %s\n", a.get("fault-log").c_str());
+    if (!write_fault_log(fault_log, fault_scope.get())) return 1;
+    if (!fault_log.empty())
+      std::printf("fault log written to %s\n", fault_log.c_str());
   }
-  if (a.has("save")) {
+  if (!save.empty()) {
     if (table == nullptr)
       throw UsageError("--save needs a backend producing a blocked table "
                        "(backend '" + backend_name + "' does not)");
-    save_table_file(a.get("save"), *table);
-    std::printf("saved to %s\n", a.get("save").c_str());
+    save_table_file(save, *table);
+    std::printf("saved to %s\n", save.c_str());
   }
 
-  if (tracing) {
-    const long events = obs::export_chrome_trace(a.get("trace"));
-    if (events < 0) {
-      std::fprintf(stderr, "error: cannot write %s\n",
-                   a.get("trace").c_str());
-      return 1;
-    }
-    std::printf("trace written to %s (%ld events; open in "
-                "https://ui.perfetto.dev)\n",
-                a.get("trace").c_str(), events);
-    std::uint64_t dropped = 0;
-    for (const auto& t : obs::Tracer::instance().snapshot())
-      dropped += t.dropped;
-    if (dropped > 0)
-      std::printf("warning: %llu events dropped (ring full); rerun with a "
-                  "larger --trace-buf\n",
-                  static_cast<unsigned long long>(dropped));
-  }
-  if (a.has("metrics")) {
+  if (!trace.finish("solve", "cellnpdp")) return 1;
+  if (!metrics.empty()) {
     // Fold the solve's work counters into the registry before dumping so
     // the snapshot carries engine phases alongside scheduler metrics.
     obs::metrics().counter("engine.kernel_calls").add(ss.engine.kernel_calls);
@@ -360,20 +291,16 @@ int cmd_solve(const Args& a) {
     obs::metrics()
         .counter("engine.cells_finalized")
         .add(ss.engine.cells_finalized);
-    std::ofstream os(a.get("metrics"));
-    if (!os) {
-      std::fprintf(stderr, "error: cannot write %s\n",
-                   a.get("metrics").c_str());
-      return 1;
-    }
+    std::ofstream os;
+    if (!open_out(os, metrics, "error")) return 1;
     obs::metrics().write_json(os);
-    std::printf("metrics written to %s\n", a.get("metrics").c_str());
+    std::printf("metrics written to %s\n", metrics.c_str());
   }
-  if (want_report) {
+  if (report) {
     obs::UtilizationReport rep;
     rep.wall_seconds = ss.wall_seconds;
     rep.worker_busy = ss.worker_busy;
-    if (tracing)
+    if (trace.on())
       rep.phases =
           obs::aggregate_phase_totals(obs::Tracer::instance().snapshot());
     ModelParams p;
@@ -390,7 +317,8 @@ int cmd_solve(const Args& a) {
 /// discovery companion of --backend. A backend with no breaker yet is
 /// healthy by definition; "open" means the breaker is currently refusing
 /// it and requests take the degradation ladder.
-int cmd_backends(const Args&) {
+int cmd_backends(cli::Flags& f) {
+  if (!f.parse()) return 0;
   std::printf("%-17s %-3s %-3s %-9s %-10s %-9s %-12s %-7s %-6s %-11s "
               "%-42s %-8s %-10s\n",
               "name", "sp", "dp", "weighted", "traceback", "parallel",
@@ -417,31 +345,50 @@ int cmd_backends(const Args&) {
   return 0;
 }
 
+/// Parses one Chrome trace JSON file; false, after an error line prefixed
+/// by `who`, when it is unreadable or malformed.
+bool load_trace_json(const std::string& path, const char* who,
+                     JsonValue* out) {
+  std::ifstream is(path);
+  if (!is) {
+    std::fprintf(stderr, "%s: cannot open %s\n", who, path.c_str());
+    return false;
+  }
+  std::string text((std::istreambuf_iterator<char>(is)),
+                   std::istreambuf_iterator<char>());
+  std::string err;
+  if (!json_parse(text, *out, &err)) {
+    std::fprintf(stderr, "%s: %s: malformed JSON: %s\n", who, path.c_str(),
+                 err.c_str());
+    return false;
+  }
+  return true;
+}
+
 /// Validates a Chrome trace-event JSON file written by --trace: parses
 /// it, checks every span is well-formed, and counts worker lanes and
 /// scheduling-block task spans. Used by verify.sh so tracing cannot rot
 /// silently.
-int cmd_check_trace(const Args& a) {
-  const std::string path = a.need("file");
-  std::ifstream is(path);
-  if (!is) {
-    std::fprintf(stderr, "check-trace: cannot open %s\n", path.c_str());
-    return 1;
-  }
-  std::string text((std::istreambuf_iterator<char>(is)),
-                   std::istreambuf_iterator<char>());
+int cmd_check_trace(cli::Flags& f) {
+  std::string path;
+  bool chains = false;
+  double min_chain_frac = 0.99;
+  long min_workers = 1;
+  std::optional<long> expect_tasks;
+  f.value("file FILE", &path, "the Chrome trace JSON to check").required()
+      .flag("chains", &chains, "check request chains, not engine spans")
+      .value("min-chain-frac", &min_chain_frac, "least complete-chain share")
+      .value("min-workers", &min_workers, "least number of worker lanes")
+      .value("expect-tasks", &expect_tasks, "exact number of task spans");
+  if (!f.parse()) return 0;
   JsonValue root;
-  std::string err;
-  if (!json_parse(text, root, &err)) {
-    std::fprintf(stderr, "check-trace: malformed JSON: %s\n", err.c_str());
-    return 1;
-  }
+  if (!load_trace_json(path, "check-trace", &root)) return 1;
   if (!root.is_object() || !root.has("traceEvents") ||
       !root.at("traceEvents").is_array()) {
     std::fprintf(stderr, "check-trace: missing traceEvents array\n");
     return 1;
   }
-  if (a.has("chains")) {
+  if (chains) {
     // Request-chain mode: correlate cat:"req" events by trace_id across
     // processes (usually a merge-traces output) instead of validating
     // engine spans. Success statuses (Ok, OkCached, Degraded) must show
@@ -465,12 +412,11 @@ int cmd_check_trace(const Args& a) {
                    static_cast<long long>(cs.orphans));
       return 1;
     }
-    const double min_frac = a.real("min-chain-frac", 0.99);
-    if (frac < min_frac) {
+    if (frac < min_chain_frac) {
       std::fprintf(stderr,
                    "check-trace: only %.1f%% of chains complete "
                    "(need >= %.1f%%)\n",
-                   100.0 * frac, 100.0 * min_frac);
+                   100.0 * frac, 100.0 * min_chain_frac);
       return 1;
     }
     std::printf("check-trace: OK\n");
@@ -508,16 +454,15 @@ int cmd_check_trace(const Args& a) {
     std::fprintf(stderr, "check-trace: %ld malformed events\n", bad);
     return 1;
   }
-  const long min_workers = a.num("min-workers", 1);
   if (long(spans_per_tid.size()) < min_workers) {
     std::fprintf(stderr,
                  "check-trace: expected >= %ld worker lanes, found %zu\n",
                  min_workers, spans_per_tid.size());
     return 1;
   }
-  if (a.has("expect-tasks") && tasks != a.num("expect-tasks", -1)) {
+  if (expect_tasks && tasks != *expect_tasks) {
     std::fprintf(stderr, "check-trace: expected %ld task spans, found %ld\n",
-                 a.num("expect-tasks", -1), tasks);
+                 *expect_tasks, tasks);
     return 1;
   }
   for (const char* cat : {"middle", "inner", "corner"}) {
@@ -531,37 +476,20 @@ int cmd_check_trace(const Args& a) {
   return 0;
 }
 
-/// Parses one Chrome trace JSON file; UsageError when unreadable,
-/// plain error (exit 1) semantics left to the caller via the bool.
-bool load_trace_json(const std::string& path, JsonValue* out) {
-  std::ifstream is(path);
-  if (!is) {
-    std::fprintf(stderr, "merge-traces: cannot open %s\n", path.c_str());
-    return false;
-  }
-  std::string text((std::istreambuf_iterator<char>(is)),
-                   std::istreambuf_iterator<char>());
-  std::string err;
-  if (!json_parse(text, *out, &err)) {
-    std::fprintf(stderr, "merge-traces: %s: malformed JSON: %s\n",
-                 path.c_str(), err.c_str());
-    return false;
-  }
-  return true;
-}
-
 /// Merges a client-side and a server-side Chrome trace into one file,
 /// each on its own pid track; spans correlate by trace_id (args.a0).
-int cmd_merge_traces(const Args& a) {
-  const std::string out_path = a.need("out");
+int cmd_merge_traces(cli::Flags& f) {
+  std::string out_path, client_path, server_path;
+  f.value("out FILE", &out_path, "the merged trace to write").required()
+      .value("client FILE", &client_path, "the client-side trace").required()
+      .value("server FILE", &server_path, "the server-side trace").required();
+  if (!f.parse()) return 0;
   JsonValue client, server;
-  if (!load_trace_json(a.need("client"), &client)) return 1;
-  if (!load_trace_json(a.need("server"), &server)) return 1;
-  std::ofstream os(out_path);
-  if (!os) {
-    std::fprintf(stderr, "merge-traces: cannot write %s\n", out_path.c_str());
+  if (!load_trace_json(client_path, "merge-traces", &client) ||
+      !load_trace_json(server_path, "merge-traces", &server))
     return 1;
-  }
+  std::ofstream os;
+  if (!open_out(os, out_path, "merge-traces")) return 1;
   obs::merge_chrome_traces(os, {&client, &server});
   long events = 0;
   for (const JsonValue* t : {&client, &server})
@@ -572,9 +500,45 @@ int cmd_merge_traces(const Args& a) {
   return 0;
 }
 
-// SIGINT/SIGTERM land here; net-serve and top poll the flag and drain.
+// SIGINT/SIGTERM land here; net-serve, net-route and top poll the flag.
 volatile std::sig_atomic_t g_stop_requested = 0;
 extern "C" void handle_stop_signal(int) { g_stop_requested = 1; }
+
+void catch_stop_signals() {
+  std::signal(SIGINT, handle_stop_signal);
+  std::signal(SIGTERM, handle_stop_signal);
+}
+
+/// Blocks until SIGINT/SIGTERM, or until `duration_ms` elapses when it
+/// is positive.
+void wait_for_stop(std::int64_t duration_ms) {
+  catch_stop_signals();
+  const auto end = std::chrono::steady_clock::now() +
+                   std::chrono::milliseconds(duration_ms);
+  while (g_stop_requested == 0 &&
+         (duration_ms <= 0 || std::chrono::steady_clock::now() < end))
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+}
+
+/// --port-file FILE: writes the bound port once the listener is up, so a
+/// script polling FILE can connect the moment it appears (needed with
+/// --port 0). False when FILE cannot be written.
+bool write_port_file(const std::string& path, std::uint16_t port,
+                     const char* who) {
+  if (path.empty()) return true;
+  std::ofstream os;
+  if (!open_out(os, path, who)) return false;
+  os << port << "\n";
+  return true;
+}
+
+/// --host --port --timeout-ms: the server a client subcommand talks to.
+void client_flags(cli::Flags& f, std::string* host, std::uint16_t* port,
+                  int* timeout_ms) {
+  f.value("host HOST", host, "server host")
+      .value("port", port, "server port")
+      .value("timeout-ms", timeout_ms, "per-reply read timeout");
+}
 
 /// One row of the `npdp top` stage table: interpolated latency quantiles
 /// from a wire histogram snapshot, printed in milliseconds.
@@ -598,23 +562,27 @@ void print_stage_row(const char* label, const obs::MetricsSnapshot& snap,
 /// Prometheus text exposition (scrape-ready), --once exits after one
 /// poll. Counter deltas are monotone because the server snapshots the
 /// whole registry in one pass.
-int cmd_top(const Args& a) {
+int cmd_top(cli::Flags& f) {
+  std::string host = "127.0.0.1";
+  std::uint16_t port = 9377;
+  int timeout_ms = 5000;
+  long interval_ms = 1000, iterations = 0;
+  bool once = false, prom = false;
+  client_flags(f, &host, &port, &timeout_ms);
+  f.value("interval-ms", &interval_ms, "poll interval (>= 50)")
+      .value("iterations", &iterations, "polls before exiting (0: no limit)")
+      .flag("once", &once, "poll once, without clearing the screen")
+      .flag("prom", &prom, "print Prometheus text exposition instead");
+  if (!f.parse()) return 0;
+  interval_ms = std::max(50L, interval_ms);
+  iterations = once ? 1 : iterations;
   net::NpdpClient cli;
   std::string err;
-  const std::string host = a.get("host", "127.0.0.1");
-  const auto port = static_cast<std::uint16_t>(a.num("port", 9377));
   if (!cli.connect(host, port, &err)) {
     std::fprintf(stderr, "top: %s\n", err.c_str());
     return 1;
   }
-  const bool once = a.has("once");
-  const bool prom = a.has("prom");
-  const long interval_ms = std::max(50L, a.num("interval-ms", 1000));
-  const long iterations = once ? 1 : a.num("iterations", 0);
-  const int timeout_ms = static_cast<int>(a.num("timeout-ms", 5000));
-
-  std::signal(SIGINT, handle_stop_signal);
-  std::signal(SIGTERM, handle_stop_signal);
+  catch_stop_signals();
 
   bool have_prev = false;
   obs::MetricsSnapshot prev;
@@ -785,8 +753,10 @@ int cmd_top(const Args& a) {
   return 0;
 }
 
-int cmd_info(const Args& a) {
-  const std::string path = a.need("file");
+int cmd_info(cli::Flags& f) {
+  std::string path;
+  f.value("file FILE", &path, "a table written by solve --save").required();
+  if (!f.parse()) return 0;
   const auto table = load_blocked_file<float>(path);
   std::printf("%s: blocked table, n=%lld, block side %lld (%s), %s total\n",
               path.c_str(), static_cast<long long>(table.size()),
@@ -797,16 +767,18 @@ int cmd_info(const Args& a) {
   return 0;
 }
 
-int cmd_fold(const Args& a) {
-  std::vector<zuker::Base> seq;
-  if (a.has("seq")) {
-    seq = zuker::parse_sequence(a.get("seq"));
-  } else {
-    seq = zuker::random_sequence(a.num("random", 300),
-                                 static_cast<std::uint64_t>(a.num("seed", 7)));
-  }
+int cmd_fold(cli::Flags& f) {
+  std::optional<std::string> bases;
+  index_t random = 300;
+  std::uint64_t seed = 7;
   zuker::FoldOptions fo;
-  fo.threads = static_cast<std::size_t>(a.num("threads", 1));
+  f.value("seq ACGU...", &bases, "the RNA sequence to fold")
+      .value("random", &random, "else fold a random sequence this long")
+      .value("seed", &seed, "seed of the random sequence")
+      .value("threads", &fo.threads, "threads per anti-diagonal");
+  if (!f.parse()) return 0;
+  const auto seq = bases ? zuker::parse_sequence(*bases)
+                         : zuker::random_sequence(random, seed);
   zuker::ZukerFolder folder({}, fo);
   Stopwatch sw;
   const auto r = folder.fold(seq);
@@ -817,14 +789,18 @@ int cmd_fold(const Args& a) {
   return 0;
 }
 
-int cmd_parse(const Args& a) {
+int cmd_parse(cli::Flags& f) {
+  std::string text = "(()())";
+  std::optional<std::string> anbn;
+  f.value("parens STR", &text, "parse with the balanced-parentheses grammar")
+      .value("anbn STR", &anbn, "parse with the a^n b^n grammar instead");
+  if (!f.parse()) return 0;
   cyk::Grammar g = cyk::balanced_parens_grammar();
   std::string alphabet = "()";
-  std::string text = a.get("parens", "(()())");
-  if (a.has("anbn")) {
+  if (anbn) {
     g = cyk::anbn_grammar();
     alphabet = "ab";
-    text = a.get("anbn");
+    text = *anbn;
   }
   cyk::CykParser parser(g);
   const auto r = parser.parse(cyk::tokens_from_string(text, alphabet));
@@ -835,16 +811,25 @@ int cmd_parse(const Args& a) {
   return r.accepted() ? 0 : 1;
 }
 
-int cmd_simulate(const Args& a) {
+int cmd_simulate(cli::Flags& f) {
+  index_t n = 4096;
   CellConfig cfg = qs20();
-  cfg.num_spes = static_cast<int>(a.num("spes", 16));
   CellSimOptions o;
-  o.block_side = a.num("block", a.has("dp") ? 64 : 88);
-  o.record_trace = a.has("trace");
+  o.block_side = 88;
+  bool dp = false;
+  std::string trace;
+  f.value("n", &n, "problem size: table side in cells")
+      .value("spes", &cfg.num_spes, "simulated SPEs")
+      .value("block", &o.block_side, "memory-block side (64 with --dp)")
+      .flag("dp", &dp, "double precision")
+      .value("trace FILE", &trace, "write the per-block trace to FILE as CSV");
+  if (!f.parse()) return 0;
+  if (dp && !f.given("block")) o.block_side = 64;
+  o.record_trace = !trace.empty();
   auto report = [&](auto tag) {
     using T = decltype(tag);
     NpdpInstance<T> inst;
-    inst.n = a.num("n", 4096);
+    inst.n = n;
     inst.init = [](index_t, index_t) { return T(1); };
     const auto r = simulate_cellnpdp(inst, cfg, o);
     std::printf("simulated %s n=%lld on %d SPEs (block %lld): %s\n",
@@ -855,14 +840,14 @@ int cmd_simulate(const Args& a) {
     std::printf("DMA in %s, utilization %s, kernel %d cycles\n",
                 fmt_bytes(double(r.dma_bytes_in)).c_str(),
                 fmt_pct(r.utilization).c_str(), r.kernel_cycles);
-    if (a.has("trace")) {
-      std::ofstream os(a.get("trace"));
+    if (o.record_trace) {
+      std::ofstream os(trace);
       r.write_trace_csv(os);
-      std::printf("trace written to %s (%zu events)\n",
-                  a.get("trace").c_str(), r.trace.size());
+      std::printf("trace written to %s (%zu events)\n", trace.c_str(),
+                  r.trace.size());
     }
   };
-  if (a.has("dp")) {
+  if (dp) {
     report(double{});
   } else {
     report(float{});
@@ -870,16 +855,21 @@ int cmd_simulate(const Args& a) {
   return 0;
 }
 
-int cmd_cluster(const Args& a) {
+int cmd_cluster(cli::Flags& f) {
   NpdpInstance<float> inst;
-  inst.n = a.num("n", 4096);
-  inst.init = [](index_t, index_t) { return 1.0f; };
+  inst.n = 4096;
   ClusterConfig cfg;
-  cfg.nodes = static_cast<int>(a.num("nodes", 8));
-  cfg.link_bandwidth = a.real("bw-gbps", 3.0) * 1e9;
-  cfg.link_latency = a.real("lat-us", 10.0) * 1e-6;
+  double bw_gbps = 3.0, lat_us = 10.0;
   ClusterSimOptions o;
-  o.block_side = a.num("block", 64);
+  f.value("n", &inst.n, "problem size: table side in cells")
+      .value("nodes", &cfg.nodes, "simulated nodes")
+      .value("bw-gbps", &bw_gbps, "link bandwidth per node (GB/s)")
+      .value("lat-us", &lat_us, "per-message latency (us)")
+      .value("block", &o.block_side, "memory-block side in cells");
+  if (!f.parse()) return 0;
+  inst.init = [](index_t, index_t) { return 1.0f; };
+  cfg.link_bandwidth = bw_gbps * 1e9;
+  cfg.link_latency = lat_us * 1e-6;
   const auto r = simulate_cluster_npdp(inst, cfg, o);
   std::printf("cluster n=%lld on %d nodes: %s, comm %s, efficiency %s\n",
               static_cast<long long>(inst.n), cfg.nodes,
@@ -889,13 +879,16 @@ int cmd_cluster(const Args& a) {
   return 0;
 }
 
-int cmd_model(const Args& a) {
+int cmd_model(cli::Flags& f) {
   ModelParams p;
-  p.n1 = double(a.num("n", 4096));
-  p.cores = double(a.num("spes", 16));
+  p.n1 = 4096;
+  p.n2_override = 88;
+  f.value("n N", &p.n1, "problem size: table side in cells")
+      .value("spes N", &p.cores, "SPEs")
+      .value("block N", &p.n2_override, "memory-block side in cells");
+  if (!f.parse()) return 0;
   const auto sp = spu_latencies(Precision::Single);
   p.kernel_cycles = kernel_steady_cycles(4, sp);
-  p.n2_override = double(a.num("block", 88));
   std::printf("T_M=%s T_C=%s T_all=%s U=%s %s-bound (B_req %s/s)\n",
               fmt_seconds(model_memory_time(p)).c_str(),
               fmt_seconds(model_compute_time(p)).c_str(),
@@ -906,52 +899,77 @@ int cmd_model(const Args& a) {
   return 0;
 }
 
-serve::OverloadPolicy policy_from(const std::string& s) {
-  if (s == "block") return serve::OverloadPolicy::Block;
-  if (s == "reject") return serve::OverloadPolicy::Reject;
-  if (s == "shed" || s == "shed-oldest")
-    return serve::OverloadPolicy::ShedOldest;
-  throw UsageError("unknown --policy '" + s + "' (block|reject|shed)");
-}
+/// --host --port --reactors --max-frame --idle-timeout-ms
+/// --drain-timeout-ms --port-file --duration-ms: the listener of net-serve
+/// (net::ServerOptions) and net-route (net::FrontEndOptions).
+struct ListenFlags {
+  std::string port_file;
+  std::int64_t duration_ms = 0;
 
-serve::ServiceOptions service_options_from(const Args& a) {
+  template <class NetOptions>
+  void declare(cli::Flags& f, NetOptions* o) {
+    f.value("host HOST", &o->host, "address to listen on")
+        .value("port", &o->port, "port to listen on (0: ephemeral)")
+        .value("reactors", &o->reactors, "epoll reactor threads")
+        .value("max-frame", &o->max_frame, "largest frame payload (bytes)")
+        .value("idle-timeout-ms", &o->idle_timeout_ms, "idle close (0: never)")
+        .value("drain-timeout-ms", &o->drain_timeout_ms, "shutdown budget")
+        .value("port-file FILE", &port_file, "write the bound port to FILE")
+        .value("duration-ms", &duration_ms, "run this long (0: until SIGTERM)");
+  }
+};
+
+/// The solve-service flags of serve, bench-serve and net-serve.
+struct ServiceFlags {
   serve::ServiceOptions so;
-  so.workers = static_cast<std::size_t>(a.num("workers", 4));
-  so.queue_capacity = static_cast<std::size_t>(a.num("queue", 256));
-  so.policy = policy_from(a.get("policy", "block"));
-  so.cache_capacity = static_cast<std::size_t>(a.num("cache", 1024));
-  so.batch_max = static_cast<std::size_t>(a.num("batch", 8));
-  so.batch_max_size = a.num("batch-max-size", 512);
-  if (a.has("backend")) {
-    backend_from(a.get("backend"));  // unknown name -> usage error (exit 3)
-    so.backend = a.get("backend");
+  std::string tenants, fault_plan;
+
+  void declare(cli::Flags& f) {
+    using P = serve::OverloadPolicy;
+    auto policies = named({P::Block, P::Reject, P::ShedOldest},
+                          serve::overload_policy_name);
+    policies.emplace_back("shed", P::ShedOldest);
+    auto& r = so.resilience;  // default off; see docs/resilience.md
+    f.value("workers", &so.workers, "solver worker threads")
+        .value("queue", &so.queue_capacity, "admission queue capacity")
+        .choice("policy", &so.policy, policies, "what a full queue does")
+        .value("cache", &so.cache_capacity, "result cache entries (0: off)")
+        .value("batch", &so.batch_max, "requests fused into one dispatch")
+        .value("batch-max-size", &so.batch_max_size, "largest batched n")
+        .choice("backend NAME", &so.backend, backend_names(), "solver")
+        .value("retries", &r.retry.max_attempts, "attempts per solve (>= 1)")
+        .flag("breaker", &r.breaker_enabled, "per-backend circuit breaking")
+        .choice("fallback NAME", &r.fallback_backend, backend_names(),
+                "backend to degrade onto")
+        .flag("hedge", &r.hedge.enabled, "hedge straggling solves")
+        .value("tenants SPEC", &tenants,
+               "per-tenant QoS: ID:name=N:rate=R:burst=B:weight=W:"
+               "cache-kb=K/ID2:...")
+        .value("fault-plan FILE", &fault_plan, "inject the faults FILE plans");
   }
-  // Resilience ladder knobs (all default-off; see docs/resilience.md).
-  if (a.has("retries"))
-    so.resilience.retry.max_attempts =
-        std::max(1, static_cast<int>(a.num("retries", 1)));
-  if (a.has("breaker")) so.resilience.breaker_enabled = true;
-  if (a.has("fallback")) {
-    backend_from(a.get("fallback"));  // validate the name up front
-    so.resilience.fallback_backend = a.get("fallback");
-  }
-  if (a.has("hedge")) so.resilience.hedge.enabled = true;
-  // Multi-tenant QoS policies: --tenants "1:name=hot:rate=500:burst=50:
-  // weight=1:cache-kb=64/2:name=quiet:weight=4" (entries separated by
-  // '/', fields by ':', first field the numeric tenant id).
-  if (a.has("tenants")) {
+  /// The service options after parse(): --retries floored at 1,
+  /// --tenants parsed (a malformed spec is a usage error).
+  serve::ServiceOptions options() const {
+    serve::ServiceOptions o = so;
+    o.resilience.retry.max_attempts =
+        std::max(1, o.resilience.retry.max_attempts);
     std::string err;
-    if (!serve::parse_tenant_spec(a.get("tenants"), &so.tenants, &err))
+    if (!tenants.empty() &&
+        !serve::parse_tenant_spec(tenants, &o.tenants, &err))
       throw UsageError("--tenants: " + err);
+    return o;
   }
-  return so;
-}
+};
 
 /// Drives the in-process solve service from a line-delimited request
 /// stream (one request per line, '#' comments and blank lines skipped;
 /// format in src/serve/request.hpp). "-" reads stdin.
-int cmd_serve(const Args& a) {
-  const std::string path = a.need("requests");
+int cmd_serve(cli::Flags& f) {
+  std::string path;
+  ServiceFlags svc;
+  f.value("requests FILE", &path, "request lines (-: stdin)").required();
+  svc.declare(f);
+  if (!f.parse()) return 0;
   std::ifstream file;
   if (path != "-") {
     file.open(path);
@@ -959,8 +977,8 @@ int cmd_serve(const Args& a) {
   }
   std::istream& is = path == "-" ? std::cin : file;
 
-  auto fault_scope = fault_scope_from(a);  // outlives the service
-  serve::SolveService service(service_options_from(a));
+  auto fault_scope = fault_scope_from(svc.fault_plan);  // outlives service
+  serve::SolveService service(svc.options());
   std::vector<std::future<serve::Response>> futures;
   std::string line;
   std::uint64_t lineno = 0, auto_id = 0;
@@ -1024,19 +1042,30 @@ int cmd_serve(const Args& a) {
 /// Draws requests from a small pool of distinct instances so the result
 /// cache sees a realistic repeated-instance workload, and writes
 /// BENCH_serve.json with throughput and latency percentiles.
-int cmd_bench_serve(const Args& a) {
-  const long total = a.num("requests", 1000);
+int cmd_bench_serve(cli::Flags& f) {
+  long total = 1000, distinct = 25, max_n = 192;
+  std::string mode = "closed";
+  ServiceFlags svc;
+  std::optional<long> window;
+  double rate = 500.0;
+  std::uint64_t seed = 42;
+  BenchConfig cfg;
+  f.value("requests", &total, "requests to send (>= 1)")
+      .value("distinct", &distinct, "distinct instances drawn from (>= 1)")
+      .choice("mode", &mode, {"closed", "open"}, "fixed window or fixed rate");
+  svc.declare(f);
+  f.value("concurrency", &window, "closed-loop window (default 2 x --workers)")
+      .value("rate", &rate, "open-loop arrivals per second")
+      .value("n", &max_n, "largest instance size (>= 64)")
+      .value("seed", &seed, "seed of the request draw")
+      .value("json-dir DIR", &cfg.json_dir, "where BENCH_serve.json goes");
+  if (!f.parse()) return 0;
   if (total < 1) throw UsageError("--requests must be >= 1");
-  const long distinct = std::max(1L, a.num("distinct", 25));
-  const std::string mode = a.get("mode", "closed");
-  if (mode != "closed" && mode != "open")
-    throw UsageError("unknown --mode '" + mode + "' (closed|open)");
-  serve::ServiceOptions so = service_options_from(a);
-  const long concurrency =
-      std::max(1L, a.num("concurrency", 2 * long(so.workers)));
-  const double rate = a.real("rate", 500.0);
-  const long max_n = std::max(64L, a.num("n", 192));
-  auto fault_scope = fault_scope_from(a);  // outlives the service
+  distinct = std::max(1L, distinct);
+  max_n = std::max(64L, max_n);
+  const serve::ServiceOptions so = svc.options();
+  const long concurrency = std::max(1L, window.value_or(2 * long(so.workers)));
+  auto fault_scope = fault_scope_from(svc.fault_plan);  // outlives service
 
   // The distinct-instance pool: sizes cycle through a few block multiples,
   // seeds make every pool entry a different computation.
@@ -1050,7 +1079,7 @@ int cmd_bench_serve(const Args& a) {
     r.payload = s;
     pool.push_back(r);
   }
-  SplitMix64 pick(static_cast<std::uint64_t>(a.num("seed", 42)));
+  SplitMix64 pick(seed);
 
   serve::SolveService service(so);
   std::vector<std::future<serve::Response>> inflight;
@@ -1143,8 +1172,6 @@ int cmd_bench_serve(const Args& a) {
               static_cast<unsigned long long>(st.arena_allocations),
               static_cast<unsigned long long>(st.cache_evictions));
 
-  BenchConfig cfg;
-  cfg.json_dir = a.get("json-dir", ".");
   BenchJson json("serve", cfg);
   json.record()
       .set("mode", mode)
@@ -1188,61 +1215,43 @@ int cmd_bench_serve(const Args& a) {
 /// Runs NpdpServer in the foreground until SIGINT/SIGTERM (or the
 /// optional --duration-ms elapses), then drains gracefully: stop
 /// accepting, answer everything admitted, flush every socket.
-int cmd_net_serve(const Args& a) {
+int cmd_net_serve(cli::Flags& f) {
   net::ServerOptions no;
-  no.host = a.get("host", "127.0.0.1");
-  no.port = static_cast<std::uint16_t>(a.num("port", 9377));
-  no.reactors = static_cast<int>(a.num("reactors", 2));
-  no.max_frame = static_cast<std::size_t>(
-      a.num("max-frame", long(net::kDefaultMaxFrame)));
-  no.idle_timeout_ms = a.num("idle-timeout-ms", 30000);
-  no.drain_timeout_ms = a.num("drain-timeout-ms", 5000);
-  auto fault_scope = fault_scope_from(a);  // outlives the server
-  const bool tracing = a.has("trace");
-  if (tracing)
-    // Started before the server so the reactor threads register their
-    // ring buffers; exported after drain as one server-side trace.
-    obs::Tracer::instance().start(
-        static_cast<std::size_t>(a.num("trace-buf", 1 << 18)));
-  if (a.has("request-log")) {
-    obs::request_log().enable(
-        static_cast<std::size_t>(a.num("log-capacity", 1 << 16)));
-    obs::request_log().set_sample_every(
-        static_cast<std::uint32_t>(std::max(1L, a.num("log-sample", 1))));
+  no.port = 9377;
+  ListenFlags listen;
+  ServiceFlags svc;
+  TraceFlags trace;
+  std::string request_log;
+  std::size_t log_capacity = 1 << 16;
+  std::uint64_t log_sample = 1;
+  listen.declare(f, &no);
+  svc.declare(f);
+  trace.declare(f);
+  f.value("request-log FILE", &request_log, "write wide events to FILE")
+      .value("log-capacity", &log_capacity, "request-log ring capacity")
+      .value("log-sample", &log_sample, "keep ~1 in N wide events");
+  if (!f.parse()) return 0;
+  auto fault_scope = fault_scope_from(svc.fault_plan);  // outlives server
+  // Started before the server so the reactor threads register their ring
+  // buffers; exported after drain as one server-side trace.
+  trace.start();
+  if (!request_log.empty()) {
+    obs::request_log().enable(log_capacity);
+    obs::request_log().set_sample_every(std::max<std::uint64_t>(1, log_sample));
   }
-  net::NpdpServer server(no, service_options_from(a));
+  net::NpdpServer server(no, svc.options());
   std::string err;
   if (!server.start(&err)) {
     std::fprintf(stderr, "net-serve: %s\n", err.c_str());
     return 1;
   }
-  if (a.has("port-file")) {
-    // Written only after the bind succeeded, so a script that polls this
-    // file can connect the moment it appears (needed with --port 0).
-    std::ofstream os(a.get("port-file"));
-    if (!os) {
-      std::fprintf(stderr, "net-serve: cannot write %s\n",
-                   a.get("port-file").c_str());
-      return 1;
-    }
-    os << server.port() << "\n";
-  }
+  if (!write_port_file(listen.port_file, server.port(), "net-serve")) return 1;
   std::printf("net-serve: listening on %s:%u (%d reactors, max frame %zu, "
               "idle timeout %lld ms)\n",
               no.host.c_str(), unsigned(server.port()), no.reactors,
               no.max_frame, static_cast<long long>(no.idle_timeout_ms));
   std::fflush(stdout);
-  std::signal(SIGINT, handle_stop_signal);
-  std::signal(SIGTERM, handle_stop_signal);
-  const long duration_ms = a.num("duration-ms", 0);
-  const auto t0 = std::chrono::steady_clock::now();
-  while (g_stop_requested == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    if (duration_ms > 0 &&
-        std::chrono::steady_clock::now() - t0 >=
-            std::chrono::milliseconds(duration_ms))
-      break;
-  }
+  wait_for_stop(listen.duration_ms);
   std::printf("net-serve: draining...\n");
   std::fflush(stdout);
   server.stop();
@@ -1265,75 +1274,21 @@ int cmd_net_serve(const Args& a) {
               static_cast<unsigned long long>(ss.degraded),
               static_cast<unsigned long long>(ss.rejected),
               static_cast<unsigned long long>(ss.expired));
-  if (tracing) {
-    obs::Tracer::instance().stop();
-    const long events =
-        obs::export_chrome_trace(a.get("trace"), "npdp-server");
-    if (events < 0) {
-      std::fprintf(stderr, "net-serve: cannot write %s\n",
-                   a.get("trace").c_str());
-      return 1;
-    }
-    std::printf("net-serve: trace written to %s (%ld events)\n",
-                a.get("trace").c_str(), events);
-  }
-  if (a.has("request-log")) {
-    std::ofstream os(a.get("request-log"));
-    if (!os) {
-      std::fprintf(stderr, "net-serve: cannot write %s\n",
-                   a.get("request-log").c_str());
-      return 1;
-    }
+  if (!trace.finish("net-serve", "npdp-server")) return 1;
+  if (!request_log.empty()) {
+    std::ofstream os;
+    if (!open_out(os, request_log, "net-serve")) return 1;
     const std::size_t written = obs::request_log().snapshot().size();
     obs::request_log().write_jsonl(os);
     std::printf("net-serve: %zu wide events written to %s "
                 "(%llu appended, %llu sampled out)\n",
-                written, a.get("request-log").c_str(),
+                written, request_log.c_str(),
                 static_cast<unsigned long long>(
                     obs::request_log().appended()),
                 static_cast<unsigned long long>(
                     obs::request_log().sampled_out()));
   }
   return 0;
-}
-
-/// Splits one comma-separated "[name=]host:port,..." flag value (the Args
-/// map rejects repeated flags, so lists ride in a single value). The
-/// optional name= prefix is the replica's ring identity; it defaults to
-/// "host:port".
-std::vector<router::ReplicaEndpoint> parse_endpoint_list(
-    const std::string& spec, const char* flag) {
-  std::vector<router::ReplicaEndpoint> out;
-  std::size_t pos = 0;
-  while (pos <= spec.size()) {
-    const std::size_t comma = spec.find(',', pos);
-    std::string item = spec.substr(
-        pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    pos = comma == std::string::npos ? spec.size() + 1 : comma + 1;
-    if (item.empty()) continue;
-    router::ReplicaEndpoint ep;
-    const std::size_t eq = item.find('=');
-    if (eq != std::string::npos) {
-      ep.name = item.substr(0, eq);
-      item = item.substr(eq + 1);
-    }
-    const std::size_t colon = item.rfind(':');
-    if (colon == std::string::npos || colon == 0 || colon + 1 >= item.size())
-      throw UsageError(std::string("--") + flag + ": '" + item +
-                       "' is not host:port");
-    ep.host = item.substr(0, colon);
-    long port = 0;
-    if (!parse_whole(item.substr(colon + 1), &port) || port <= 0 ||
-        port > 65535)
-      throw UsageError(std::string("--") + flag + ": bad port in '" + item +
-                       "'");
-    ep.port = static_cast<std::uint16_t>(port);
-    if (ep.name.empty()) ep.name = item;
-    out.push_back(std::move(ep));
-  }
-  if (out.empty())
-    throw UsageError(std::string("--") + flag + ": empty endpoint list");
-  return out;
 }
 
 /// Network load generator against a running net-serve (or net-route).
@@ -1343,49 +1298,42 @@ std::vector<router::ReplicaEndpoint> parse_endpoint_list(
 /// per-target record when several targets are named) and exits nonzero if
 /// any protocol or transport error occurred (the loopback smoke check in
 /// verify.sh relies on that).
-int cmd_net_bench(const Args& a) {
+int cmd_net_bench(cli::Flags& f) {
   net::LoadGenOptions lo;
-  lo.host = a.get("host", "127.0.0.1");
-  lo.port = static_cast<std::uint16_t>(a.num("port", 9377));
-  if (a.has("targets")) {
-    for (const auto& ep : parse_endpoint_list(a.get("targets"), "targets"))
-      lo.targets.push_back({ep.host, ep.port});
-  }
-  lo.connections = static_cast<int>(a.num("connections", 4));
-  lo.rate = a.real("rate", 0);
-  lo.duration_ms = static_cast<std::int64_t>(a.real("duration", 2.0) * 1000);
-  lo.max_requests = static_cast<std::uint64_t>(a.num("requests", 0));
-  lo.mix = a.get("mix", "chain");
-  lo.size = a.num("size", 32);
-  lo.priority = static_cast<int>(a.num("priority", 0));
-  lo.deadline_ms = static_cast<std::uint32_t>(a.num("deadline-ms", 0));
-  const long tenant = a.num("tenant", 0);
-  if (tenant < 0 || tenant >= long(serve::kMaxTenants))
+  lo.port = 9377;
+  double duration_s = double(lo.duration_ms) / 1000;
+  std::vector<std::string> semirings;
+  for (const auto& [name, id] : kSemirings) semirings.push_back(name);
+  semirings.push_back("mix");
+  TraceFlags trace;
+  BenchConfig cfg;
+  client_flags(f, &lo.host, &lo.port, &lo.timeout_ms);
+  f.value("targets", &lo.targets, "spread connections over these instead")
+      .value("connect-timeout-ms", &lo.connect_timeout_ms, "dial bound (0: no)")
+      .value("connections", &lo.connections, "client connections")
+      .value("rate", &lo.rate, "offered req/s in total (0: closed loop)")
+      .value("duration", &duration_s, "run length (s)")
+      .value("requests", &lo.max_requests, "stop after this many (0: no cap)")
+      .choice("mix", &lo.mix, {"solve", "fold", "parse", "chain", "bst", "mix"},
+              "request kind")
+      .value("size", &lo.size, "problem size of each request")
+      .value("priority", &lo.priority, "request priority")
+      .value("deadline-ms", &lo.deadline_ms, "per-request deadline (0: none)")
+      .value("tenant", &lo.tenant, "QoS tenant id")
+      .value("backend NAME", &lo.backend, "backend solve requests ask for")
+      .choice("semiring", &lo.semiring, semirings, "of solves (min-plus)")
+      .value("seed", &lo.seed, "request stream seed")
+      .value("distinct", &lo.distinct, "distinct computations per kind")
+      .value("json-dir DIR", &cfg.json_dir, "where BENCH_net.json goes");
+  trace.declare(f);
+  f.value("trace-sample", &lo.trace_sample, "share of traces sampled");
+  if (!f.parse()) return 0;
+  if (lo.tenant >= serve::kMaxTenants)
     throw UsageError("--tenant out of range (0.." +
                      std::to_string(serve::kMaxTenants - 1) + ")");
-  lo.tenant = static_cast<std::uint16_t>(tenant);
-  lo.backend = a.get("backend", "");
-  lo.semiring = a.get("semiring", "");
-  if (!lo.semiring.empty() && lo.semiring != "mix") {
-    SemiringId sr;
-    if (!semiring_from_name(lo.semiring, &sr))
-      throw UsageError("unknown --semiring '" + lo.semiring +
-                       "' (min-plus|max-plus|counting|viterbi-log|mix)");
-  }
-  lo.seed = static_cast<std::uint64_t>(a.num("seed", 1));
-  lo.distinct = static_cast<int>(a.num("distinct", 16));
-  lo.timeout_ms = static_cast<int>(a.num("timeout-ms", 10000));
-  lo.connect_timeout_ms = static_cast<int>(a.num("connect-timeout-ms", 0));
-  lo.trace = a.has("trace") || a.has("trace-sample");
-  lo.trace_sample = a.real("trace-sample", 1.0);
-  if (lo.mix != "solve" && lo.mix != "fold" && lo.mix != "parse" &&
-      lo.mix != "chain" && lo.mix != "bst" && lo.mix != "mix")
-    throw UsageError("unknown --mix '" + lo.mix +
-                     "' (solve|fold|parse|chain|bst|mix)");
-  const bool tracing = a.has("trace");
-  if (tracing)
-    obs::Tracer::instance().start(
-        static_cast<std::size_t>(a.num("trace-buf", 1 << 18)));
+  lo.duration_ms = static_cast<std::int64_t>(duration_s * 1000);
+  lo.trace = trace.on() || f.given("trace-sample");
+  trace.start();
 
   net::LoadGenResult r;
   std::string err;
@@ -1393,7 +1341,6 @@ int cmd_net_bench(const Args& a) {
     std::fprintf(stderr, "net-bench: %s\n", err.c_str());
     return 1;
   }
-  if (tracing) obs::Tracer::instance().stop();
   // Percentiles go through the same log2-bucket histogram the server's
   // metrics use, so BENCH_net.json and the live stats plane agree to
   // within one bucket. p99 is interpolated; p99_upper is the bucket
@@ -1454,8 +1401,6 @@ int cmd_net_bench(const Args& a) {
                   static_cast<unsigned long long>(t.cached),
                   static_cast<unsigned long long>(t.errors));
 
-  BenchConfig cfg;
-  cfg.json_dir = a.get("json-dir", ".");
   BenchJson json("net", cfg);
   json.record()
       .set("mode", mode)
@@ -1511,57 +1456,35 @@ int cmd_net_bench(const Args& a) {
           .set("proto_errors", std::int64_t(t.proto_errors))
           .set("transport_errors", std::int64_t(t.transport_errors));
   json.flush();
-  if (tracing) {
-    const long events =
-        obs::export_chrome_trace(a.get("trace"), "npdp-client");
-    if (events < 0) {
-      std::fprintf(stderr, "net-bench: cannot write %s\n",
-                   a.get("trace").c_str());
-      return 1;
-    }
-    std::printf("  client trace written to %s (%ld events)\n",
-                a.get("trace").c_str(), events);
-  }
+  if (!trace.finish("net-bench", "npdp-client")) return 1;
   return r.clean() ? 0 : 1;
 }
 
 /// Runs NpdpRouter in the foreground until SIGINT/SIGTERM (or the
 /// optional --duration-ms elapses), then drains gracefully. Mirrors
 /// cmd_net_serve: --port-file appears only after the bind succeeded.
-int cmd_net_route(const Args& a) {
+int cmd_net_route(cli::Flags& f) {
   router::RouterOptions ro;
-  ro.net.host = a.get("host", "127.0.0.1");
-  ro.net.port = static_cast<std::uint16_t>(a.num("port", 9378));
-  ro.net.reactors = static_cast<int>(a.num("reactors", 2));
-  ro.net.max_frame = static_cast<std::size_t>(
-      a.num("max-frame", long(net::kDefaultMaxFrame)));
-  ro.net.idle_timeout_ms = a.num("idle-timeout-ms", 30000);
-  ro.net.drain_timeout_ms = a.num("drain-timeout-ms", 5000);
-  ro.replicas = parse_endpoint_list(a.need("replicas"), "replicas");
-  ro.vnodes = static_cast<int>(a.num("vnodes", 64));
-  ro.max_attempts = static_cast<int>(a.num("max-attempts", 3));
-  ro.probe_interval_ms = a.num("probe-interval-ms", 200);
-  ro.probe_timeout_ms = static_cast<int>(a.num("probe-timeout-ms", 1000));
-  ro.connect_timeout_ms = static_cast<int>(a.num("connect-timeout-ms", 1000));
-  const bool tracing = a.has("trace");
-  if (tracing)
-    obs::Tracer::instance().start(
-        static_cast<std::size_t>(a.num("trace-buf", 1 << 18)));
+  ro.net.port = 9378;
+  ListenFlags listen;
+  TraceFlags trace;
+  f.value("replicas", &ro.replicas, "the net-serve replicas").required();
+  listen.declare(f, &ro.net);
+  f.value("vnodes", &ro.vnodes, "ring points per replica")
+      .value("max-attempts", &ro.max_attempts, "placements per request")
+      .value("probe-interval-ms", &ro.probe_interval_ms, "health probe period")
+      .value("probe-timeout-ms", &ro.probe_timeout_ms, "health probe bound")
+      .value("connect-timeout-ms", &ro.connect_timeout_ms, "upstream dial");
+  trace.declare(f);
+  if (!f.parse()) return 0;
+  trace.start();
   router::NpdpRouter router(ro);
   std::string err;
   if (!router.start(&err)) {
     std::fprintf(stderr, "net-route: %s\n", err.c_str());
     return 1;
   }
-  if (a.has("port-file")) {
-    std::ofstream os(a.get("port-file"));
-    if (!os) {
-      std::fprintf(stderr, "net-route: cannot write %s\n",
-                   a.get("port-file").c_str());
-      return 1;
-    }
-    os << router.port() << "\n";
-  }
+  if (!write_port_file(listen.port_file, router.port(), "net-route")) return 1;
   std::printf("net-route: listening on %s:%u, %zu replicas (%d vnodes "
               "each, probe every %lld ms)\n",
               ro.net.host.c_str(), unsigned(router.port()),
@@ -1571,17 +1494,7 @@ int cmd_net_route(const Args& a) {
     std::printf("  replica %s -> %s:%u\n", ep.name.c_str(), ep.host.c_str(),
                 unsigned(ep.port));
   std::fflush(stdout);
-  std::signal(SIGINT, handle_stop_signal);
-  std::signal(SIGTERM, handle_stop_signal);
-  const long duration_ms = a.num("duration-ms", 0);
-  const auto t0 = std::chrono::steady_clock::now();
-  while (g_stop_requested == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    if (duration_ms > 0 &&
-        std::chrono::steady_clock::now() - t0 >=
-            std::chrono::milliseconds(duration_ms))
-      break;
-  }
+  wait_for_stop(listen.duration_ms);
   std::printf("net-route: draining...\n");
   std::fflush(stdout);
   router.stop();
@@ -1609,18 +1522,7 @@ int cmd_net_route(const Args& a) {
                 static_cast<unsigned long long>(h.forwarded),
                 static_cast<unsigned long long>(h.replies),
                 static_cast<unsigned long long>(h.disconnects));
-  if (tracing) {
-    obs::Tracer::instance().stop();
-    const long events =
-        obs::export_chrome_trace(a.get("trace"), "npdp-router");
-    if (events < 0) {
-      std::fprintf(stderr, "net-route: cannot write %s\n",
-                   a.get("trace").c_str());
-      return 1;
-    }
-    std::printf("net-route: trace written to %s (%ld events)\n",
-                a.get("trace").c_str(), events);
-  }
+  if (!trace.finish("net-route", "npdp-router")) return 1;
   return 0;
 }
 
@@ -1630,63 +1532,49 @@ int cmd_net_route(const Args& a) {
 /// workload `npdp solve` uses, so a --save'd table from any rank can be
 /// cmp'd byte-for-byte against `npdp solve --save` output — that is
 /// exactly what verify.sh's dist phase does.
-int cmd_dist_solve(const Args& a) {
-  const auto rank = static_cast<std::uint32_t>(a.num("rank", -1));
-  const std::vector<dist::PeerEndpoint> peers =
-      dist::parse_peer_list(a.need("peers"));
-  if (a.num("rank", -1) < 0 ||
-      rank >= static_cast<std::uint32_t>(peers.size()))
+int cmd_dist_solve(cli::Flags& f) {
+  std::uint32_t rank = 0;
+  std::vector<dist::PeerEndpoint> peers;
+  Workload w;
+  dist::DistOptions opts;
+  opts.group.connect_timeout_ms = 10000;
+  std::optional<std::uint16_t> stats_port;
+  std::string port_file, save;
+  f.value("rank", &rank, "this peer's index in --peers").required()
+      .value("peers", &peers, "every peer, same order on all").required();
+  w.declare(f);
+  f.value("connect-timeout-ms", &opts.group.connect_timeout_ms, "mesh budget")
+      .value("stall-timeout-ms", &opts.stall_timeout_ms, "abort a stall")
+      .value("stats-port", &stats_port, "serve stats for npdp top (0: any)")
+      .value("port-file FILE", &port_file, "write the bound stats port to FILE")
+      .value("save FILE", &save, "write the solved table to FILE");
+  if (!f.parse()) return 0;
+  if (rank >= peers.size())
     throw UsageError("--rank must name an entry in --peers (0.." +
                      std::to_string(peers.size() - 1) + ")");
-
-  NpdpInstance<float> inst;
-  inst.n = a.num("n", 1024);
-  const std::uint64_t seed = static_cast<std::uint64_t>(a.num("seed", 1));
-  SemiringId sr = SemiringId::MinPlus;
-  if (a.has("semiring") && !semiring_from_name(a.get("semiring"), &sr))
-    throw UsageError("unknown semiring '" + a.get("semiring") +
-                     "' (min-plus|max-plus|counting|viterbi-log)");
-  inst.semiring = sr;
-  inst.init = [seed, sr](index_t i, index_t j) {
-    return semiring_init_value<float>(sr, seed, i, j);
-  };
-
-  dist::DistOptions opts;
-  opts.tuning.block_side = a.num("block", 64);
-  opts.tuning.kernel = kernel_from(a.get("kernel", "simd128"));
-  opts.tuning.threads = static_cast<std::size_t>(a.num("threads", 1));
-  opts.group.connect_timeout_ms =
-      static_cast<int>(a.num("connect-timeout-ms", 10000));
-  opts.stall_timeout_ms = static_cast<int>(a.num("stall-timeout-ms", 60000));
+  const NpdpInstance<float> inst = w.instance();
+  opts.tuning = w.tuning;
   // The hello frame already carries n/block/semiring explicitly; the hash
   // covers what it cannot: the workload seed. A peer launched with a
   // different --seed fails the handshake instead of assembling garbage.
-  opts.config_hash = fnv1a(&seed, sizeof(seed));
+  opts.config_hash = fnv1a(&w.seed, sizeof(w.seed));
 
   // Optional ordinary-protocol stats port so `npdp top` can watch the
   // net.peer.* counters of a live peer.
   dist::StatsEndpoint stats_ep;
-  if (a.has("stats-port")) {
+  if (stats_port) {
     std::string err;
-    if (!stats_ep.start("127.0.0.1",
-                        static_cast<std::uint16_t>(a.num("stats-port", 0)),
-                        &err))
-      throw UsageError("--stats-port: " + err);
+    if (!stats_ep.start("127.0.0.1", *stats_port, &err)) {
+      std::fprintf(stderr, "dist-solve: --stats-port: %s\n", err.c_str());
+      return 1;
+    }
     std::printf("rank %u stats on 127.0.0.1:%u\n", rank,
                 unsigned(stats_ep.port()));
-    if (a.has("port-file")) {
-      std::ofstream os(a.get("port-file"));
-      if (!os) {
-        std::fprintf(stderr, "error: cannot write %s\n",
-                     a.get("port-file").c_str());
-        return 1;
-      }
-      os << stats_ep.port() << "\n";
-    }
+    if (!write_port_file(port_file, stats_ep.port(), "dist-solve")) return 1;
   }
 
   BlockedTriangularMatrix<float> mat(inst.n, opts.tuning.block_side,
-                                     semiring_zero<float>(sr));
+                                     semiring_zero<float>(w.semiring));
   dist::PeerGroup group(rank, peers, opts.group);
   dist::DistStats ds;
   Stopwatch sw;
@@ -1696,7 +1584,7 @@ int cmd_dist_solve(const Args& a) {
   std::printf(
       "rank %u/%zu solved n=%lld (%s, block %lld, %zu threads) in %s\n",
       rank, peers.size(), static_cast<long long>(inst.n),
-      std::string(semiring_name(sr)).c_str(),
+      std::string(semiring_name(w.semiring)).c_str(),
       static_cast<long long>(opts.tuning.block_side), opts.tuning.threads,
       fmt_seconds(s).c_str());
   std::printf("  owned %lld  computed %lld  received %lld  "
@@ -1709,79 +1597,73 @@ int cmd_dist_solve(const Args& a) {
               fmt_seconds(ds.stall_seconds).c_str());
   std::printf("d[0][n-1] = %g\n", double(mat.at(0, inst.n - 1)));
 
-  if (a.has("save")) {
-    save_table_file(a.get("save"), mat);
-    std::printf("saved to %s\n", a.get("save").c_str());
+  if (!save.empty()) {
+    save_table_file(save, mat);
+    std::printf("saved to %s\n", save.c_str());
   }
   return 0;
 }
 
+struct Command {
+  const char* name;
+  int (*run)(cli::Flags&);
+  const char* summary;
+};
+
+const Command kCommands[] = {
+    {"solve", cmd_solve, "solve one seeded instance natively"},
+    {"backends", cmd_backends, "list the solver backends and their health"},
+    {"check-trace", cmd_check_trace, "validate a --trace file"},
+    {"merge-traces", cmd_merge_traces, "merge client and server traces"},
+    {"info", cmd_info, "describe a table written by solve --save"},
+    {"fold", cmd_fold, "fold an RNA sequence (Zuker minimum free energy)"},
+    {"parse", cmd_parse, "CYK-parse a word"},
+    {"simulate", cmd_simulate, "time a solve on the simulated Cell blade"},
+    {"cluster", cmd_cluster, "time a solve on a simulated cluster"},
+    {"model", cmd_model, "the paper's section V performance model"},
+    {"dist-solve", cmd_dist_solve, "one peer of a multi-process solve"},
+    {"serve", cmd_serve, "run the in-process solve service on a stream"},
+    {"bench-serve", cmd_bench_serve, "load-test the in-process service"},
+    {"net-serve", cmd_net_serve, "TCP front-end over the solve service"},
+    {"net-route", cmd_net_route, "consistent-hash router over net-serve"},
+    {"net-bench", cmd_net_bench, "network load generator"},
+    {"top", cmd_top, "live stats of a running net-serve or dist-solve peer"},
+};
+
+/// Every subcommand with the flags it declares.
 void usage() {
-  std::printf(
-      "usage: npdp <solve|backends|check-trace|merge-traces|info|fold|parse"
-      "|simulate|cluster|dist-solve|model|serve|bench-serve|net-serve"
-      "|net-route|net-bench|top> [--key value ...]\n"
-      "  dist-solve   one peer of a multi-process distributed solve\n"
-      "               (--rank R --peers host:port,...; docs/distributed.md)\n"
-      "  backends     list the registered solver backends (--backend names),\n"
-      "               capabilities, and breaker health\n"
-      "  serve        run the in-process solve service over a line-delimited\n"
-      "               request stream (--requests <file|->)\n"
-      "  bench-serve  closed/open-loop load generator; writes "
-      "BENCH_serve.json\n"
-      "  net-serve    epoll TCP front-end over the solve service; --tenants\n"
-      "               enables per-tenant QoS (docs/networking.md)\n"
-      "  net-route    consistent-hash router over net-serve replicas "
-      "(--replicas\n"
-      "               [name=]host:port,...; health-probed failover)\n"
-      "  net-bench    network load generator against net-serve or "
-      "net-route;\n"
-      "               writes BENCH_net.json (--targets for several "
-      "endpoints)\n"
-      "  top          live stats view of a running net-serve (--prom for\n"
-      "               Prometheus text exposition, --once for one poll)\n"
-      "  merge-traces merge client+server Chrome traces onto one timeline\n"
-      "(see the header of tools/npdp_tool.cpp for the full flag list)\n");
+  std::printf("usage: npdp <subcommand> [--flag [value] ...]\n");
+  for (const Command& c : kCommands) {
+    cli::Flags f(c.name);
+    c.run(f);
+    std::printf("\nnpdp %s: %s\n%s", c.name, c.summary, f.usage().c_str());
+  }
+  std::printf("\nexit codes: 0 success, 1 runtime error, 2 unknown "
+              "subcommand, 3 bad arguments\n");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    usage();
-    return 2;
-  }
-  const std::string cmd = argv[1];
   // The coordinator backend lives in the dist library (backend cannot link
   // dist without a cycle), so the binary that links both registers it.
   dist::register_distributed_backend();
-  try {
-    const Args a = parse_args(argc, argv, 2);
-    if (cmd == "solve") return cmd_solve(a);
-    if (cmd == "backends") return cmd_backends(a);
-    if (cmd == "check-trace") return cmd_check_trace(a);
-    if (cmd == "merge-traces") return cmd_merge_traces(a);
-    if (cmd == "top") return cmd_top(a);
-    if (cmd == "info") return cmd_info(a);
-    if (cmd == "fold") return cmd_fold(a);
-    if (cmd == "parse") return cmd_parse(a);
-    if (cmd == "simulate") return cmd_simulate(a);
-    if (cmd == "cluster") return cmd_cluster(a);
-    if (cmd == "dist-solve") return cmd_dist_solve(a);
-    if (cmd == "model") return cmd_model(a);
-    if (cmd == "serve") return cmd_serve(a);
-    if (cmd == "bench-serve") return cmd_bench_serve(a);
-    if (cmd == "net-serve") return cmd_net_serve(a);
-    if (cmd == "net-route") return cmd_net_route(a);
-    if (cmd == "net-bench") return cmd_net_bench(a);
-  } catch (const UsageError& e) {
-    std::fprintf(stderr, "bad arguments: %s\n", e.what());
-    return 3;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
+  const std::string cmd = argc > 1 ? argv[1] : "";
+  for (const Command& c : kCommands) {
+    if (cmd != c.name) continue;
+    cli::Flags f(cmd, {argv + 2, argv + argc});
+    try {
+      return c.run(f);
+    } catch (const cli::UsageError& e) {
+      std::fprintf(stderr, "bad arguments: %s\n\nnpdp %s flags:\n%s",
+                   e.what(), c.name, f.usage().c_str());
+      return 3;
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 1;
+    }
   }
-  std::fprintf(stderr, "unknown subcommand '%s'\n", cmd.c_str());
+  if (argc > 1) std::fprintf(stderr, "unknown subcommand '%s'\n", cmd.c_str());
   usage();
   return 2;
 }
