@@ -1,18 +1,27 @@
 // The blocked NPDP engine: tier 1 of CellNPDP (§IV-A) on host memory.
 //
-// A memory block B(bi,bj) is relaxed in two stages (DESIGN.md §5):
+// A memory block C = B(bi,bj) is relaxed in two stages (DESIGN.md §5):
 //
 //   stage 1  - contributions from all *middle* memory blocks
 //              k in (bi,bj): C = C (+) (block(bi,k) (x) block(k,bj));
 //              a plain semiring block product with no inner dependences,
 //              one register-blocked kernel call per middle block pair.
-//   stage 2  - computing blocks of C walked left-to-right / bottom-to-top;
-//              each tile first folds in the triangular diagonal blocks
-//              B(bi,bi), B(bj,bj) at tile granularity, then a scalar corner
-//              pass resolves the tile's own inner dependences.
+//   stage 2  - contributions from k inside the diagonal blocks D1 =
+//              B(bi,bi) and D2 = B(bj,bj), which read C itself. The rect
+//              recursion of Chowdhury & Ramachandran splits C at tile
+//              boundaries and finishes its quadrants in the order BL, TL,
+//              BR, TR; each quadrant first takes one strided block product
+//              with the strip whose operands just became final (the left
+//              strip of D1 for TL, the bottom strip of D2 for BR, both for
+//              TR). At a WxW leaf only k inside the leaf's own row tile and
+//              column tile remain, and a scalar corner pass resolves them.
 //
-// Diagonal memory blocks run the same tile walk with D1 = D2 = the block
-// itself and scalar triangular tiles on the tile diagonal.
+// A diagonal memory block runs tri: tri on each half, then rect on the
+// square between them with D1 = D2 = the block itself; its leaves are the
+// triangular tiles on the tile diagonal. The leaves take the kernel width
+// at compile time and work on local copies of their tiles. Argmin and
+// general k-term instances, which stage 1 also walks tile by tile, walk
+// stage 2's tiles in column-ascending / row-descending order instead.
 #pragma once
 
 #include <algorithm>
@@ -33,11 +42,12 @@ namespace cellnpdp {
 /// of the benches and to validate the simulator's closed-form work model
 /// against the real engine.
 struct EngineStats {
-  /// Computing-block products; a block call counts (bs/W)^3.
+  /// Computing-block products: a block-product call over rows x depth x
+  /// cols cells counts (rows/W)(depth/W)(cols/W).
   index_t kernel_calls = 0;
   index_t corner_relax = 0;    ///< scalar relaxations in corner passes
   index_t diag_relax = 0;      ///< scalar relaxations in diagonal tiles
-  index_t cells_finalized = 0; ///< finalize_cell executions
+  index_t cells_finalized = 0; ///< cells finished by a stage-2 leaf
 
   index_t scalar_relax() const { return corner_relax + diag_relax; }
 
@@ -49,6 +59,58 @@ struct EngineStats {
     return *this;
   }
 };
+
+namespace detail {
+
+/// Stage 2's corner leaf on local copies of three WxW tiles: c, the tile
+/// to resolve, whose first cell is global (gi0, gj0); a, the diagonal tile
+/// of its row block; b, that of its column block. Every k outside c's own
+/// row tile and column tile has been applied. Each cell folds the k of its
+/// row tile (a (x) c) and then of its column tile (c (x) b), ascending:
+/// fold(acc, x, y, gi, gk, gj) folds one candidate and finish(lr, lc, cur,
+/// acc) returns the cell's final value. Rows go bottom-up and cells left
+/// to right, so every value a cell reads is final and the one finished
+/// last is folded last. The loops unroll by 4: fully up to W = 4, which
+/// keeps the tiles in registers, and partly at W = 8 (simd256 float),
+/// which bounds the code each instantiation adds.
+template <int W, class T, class Fold, class Finish>
+inline void corner_leaf(T (&c)[W][W], const T (&a)[W][W],
+                        const T (&b)[W][W], index_t gi0, index_t gj0,
+                        Fold&& fold, Finish&& finish) {
+#pragma GCC unroll 4
+  for (int lr = W - 1; lr >= 0; --lr)
+#pragma GCC unroll 4
+    for (int lc = 0; lc < W; ++lc) {
+      T acc = c[lr][lc];
+#pragma GCC unroll 4
+      for (int lk = lr + 1; lk < W; ++lk)
+        fold(acc, a[lr][lk], c[lk][lc], gi0 + lr, gi0 + lk, gj0 + lc);
+#pragma GCC unroll 4
+      for (int lk = 0; lk < lc; ++lk)
+        fold(acc, c[lr][lk], b[lk][lc], gi0 + lr, gj0 + lk, gj0 + lc);
+      c[lr][lc] = finish(lr, lc, c[lr][lc], acc);
+    }
+}
+
+/// The triangular leaf: a tile on the tile diagonal of a diagonal block,
+/// first cell global (g0, g0), self-contained. Cell (lr, lc), lr < lc,
+/// folds k in (lr, lc) ascending, in the corner leaf's cell order.
+template <int W, class T, class Fold, class Finish>
+inline void diagonal_leaf(T (&c)[W][W], index_t g0, Fold&& fold,
+                          Finish&& finish) {
+#pragma GCC unroll 4
+  for (int lr = W - 2; lr >= 0; --lr)
+#pragma GCC unroll 4
+    for (int lc = lr + 1; lc < W; ++lc) {
+      T acc = c[lr][lc];
+#pragma GCC unroll 4
+      for (int lk = lr + 1; lk < lc; ++lk)
+        fold(acc, c[lr][lk], c[lk][lc], g0 + lr, g0 + lk, g0 + lc);
+      c[lr][lc] = finish(lr, lc, c[lr][lc], acc);
+    }
+}
+
+}  // namespace detail
 
 /// The blocked engine, generic over a semiring S (see simd/semiring.hpp).
 /// The default min-plus instantiation is bit-identical to the historical
@@ -77,6 +139,16 @@ class BlockEngine {
           "matrix padding is not the semiring's zero (construct or reset "
           "the matrix with semiring_zero<T>(inst.semiring))");
     tb_ = bs_ / kern_.width;
+    // Stage 2 takes the width at compile time. cb_kernel gives 4-byte
+    // cells width 4 or 8 and 8-byte cells width 2 or 4; only those two
+    // are instantiated.
+    constexpr int kOtherWidth = sizeof(T) == 4 ? 8 : 2;
+    if (kern_.width == 4)
+      inner_ = &BlockEngine::inner_pass<4>;
+    else if (kern_.width == kOtherWidth)
+      inner_ = &BlockEngine::inner_pass<kOtherWidth>;
+    else
+      throw std::invalid_argument("unsupported kernel width");
     ktg_ = static_cast<bool>(inst.kterm);
     if (ktg_ && inst.ku != nullptr)
       throw std::invalid_argument(
@@ -133,7 +205,7 @@ class BlockEngine {
     const index_t col0 = bj * bs_;
     if (bi == bj) {
       CELLNPDP_TRACE_SPAN("inner", "inner.diag", bi, bj);
-      inner_pass(Cb, Cb, Cb, /*diag=*/true, row0, col0, st);
+      (this->*inner_)(Cb, Cb, Cb, /*diag=*/true, row0, col0, st);
       return;
     }
     {
@@ -143,8 +215,8 @@ class BlockEngine {
                     row0, mk * bs_, col0, st);
     }
     CELLNPDP_TRACE_SPAN("inner", "inner", bi, bj);
-    inner_pass(Cb, mat_->block(bi, bi), mat_->block(bj, bj),
-               /*diag=*/false, row0, col0, st);
+    (this->*inner_)(Cb, mat_->block(bi, bi), mat_->block(bj, bj),
+                    /*diag=*/false, row0, col0, st);
   }
 
  private:
@@ -248,6 +320,23 @@ class BlockEngine {
     }
   }
 
+  /// C (+)= A (x) B over rows x depth x cols cells at row stride bs_: one
+  /// block-product call. C's first cell is global (gi, gj); the product's
+  /// first k is global gk.
+  void block_product(T* C, const T* A, const T* B, index_t rows,
+                     index_t depth, index_t cols, index_t gi, index_t gk,
+                     index_t gj, EngineStats* st) const {
+    if (st != nullptr) {
+      const index_t W = kern_.width;
+      st->kernel_calls += (rows / W) * (depth / W) * (cols / W);
+    }
+    if (ku_.empty())
+      kern_.block(C, A, B, rows, depth, cols, bs_);
+    else
+      kern_.block_sep(C, A, B, rows, depth, cols, bs_, ku_.data() + gi,
+                      kv_.data() + gk, kw_.data() + gj);
+  }
+
   /// Stage 1: C = C (+) (A (x) B) for one middle block pair, a block
   /// product with no ordering constraints. Pure and separable instances
   /// make one block-product call; argmin and general k-term instances walk
@@ -255,12 +344,7 @@ class BlockEngine {
   void middle_pass(T* Cb, const T* Ab, const T* Bb, index_t row0, index_t k0,
                    index_t col0, EngineStats* st) const {
     if (!ktg_ && argm_ == nullptr) {
-      if (st != nullptr) st->kernel_calls += tb_ * tb_ * tb_;
-      if (ku_.empty())
-        kern_.block(Cb, Ab, Bb, bs_);
-      else
-        kern_.block_sep(Cb, Ab, Bb, bs_, ku_.data() + row0, kv_.data() + k0,
-                        kw_.data() + col0);
+      block_product(Cb, Ab, Bb, bs_, bs_, bs_, row0, k0, col0, st);
       return;
     }
     const index_t W = kern_.width;
@@ -271,10 +355,27 @@ class BlockEngine {
                      row0 + rt * W, k0 + kt * W, col0 + ct * W, st);
   }
 
-  /// Stage 2 (and the whole of a diagonal block): ordered tile walk.
-  /// Per-tile trace spans are emitted from here (behind one hoisted
-  /// enabled() check) rather than inside corner()/diagonal_tile(), so the
-  /// scalar hot loops stay span-free when tracing is off.
+  /// How a stage-2 leaf folds a candidate into its cell. Pure and Sep
+  /// serve the recursion; Walk serves the tile walk of argmin and general
+  /// k-term instances.
+  enum class Fold { Pure, Sep, Walk };
+
+  /// Stage 2's view of one memory block: C, its diagonal blocks D1 and D2
+  /// (all three the same block on the diagonal), C's first global row and
+  /// column, the stats sink and whether leaves emit trace spans.
+  struct Inner {
+    T* C;
+    const T* D1;
+    const T* D2;
+    index_t row0, col0;
+    EngineStats* st;
+    bool traced;
+  };
+
+  /// Stage 2 (and the whole of a diagonal block). Leaf trace spans are
+  /// emitted behind this one hoisted enabled() check, so the scalar hot
+  /// loops stay span-free when tracing is off.
+  template <int W>
   void inner_pass(T* Cb, const T* D1, const T* D2, bool diag, index_t row0,
                   index_t col0, EngineStats* st) const {
 #ifndef CELLNPDP_NO_TRACING
@@ -282,163 +383,272 @@ class BlockEngine {
 #else
     constexpr bool traced = false;
 #endif
-    const index_t W = kern_.width;
+    const Inner s{Cb, D1, D2, row0, col0, st, traced};
+    if (ktg_ || argm_ != nullptr)
+      walk<W>(s, diag);
+    else if (ku_.empty())
+      recurse<W, Fold::Pure>(s, diag);
+    else
+      recurse<W, Fold::Sep>(s, diag);
+  }
+
+  /// rect over a whole off-diagonal block, tri over a diagonal one.
+  template <int W, Fold F>
+  void recurse(const Inner& s, bool diag) const {
+    if (diag)
+      tri<W, F>(s, 0, tb_);
+    else
+      rect<W, F>(s, 0, tb_, 0, tb_);
+  }
+
+  /// Finishes C's triangle of tiles [t0,t1) of a diagonal block.
+  template <int W, Fold F>
+  void tri(const Inner& s, index_t t0, index_t t1) const {
+    if (t1 - t0 == 1) {
+      diagonal_tile<W, F>(s, t0);
+      return;
+    }
+    const index_t tm = t0 + (t1 - t0) / 2;
+    tri<W, F>(s, t0, tm);
+    tri<W, F>(s, tm, t1);
+    rect<W, F>(s, t0, tm, tm, t1);
+  }
+
+  /// Finishes C's tiles [r0,r1) x [c0,c1), to which every k outside D1's
+  /// tiles [r0,r1) and D2's tiles [c0,c1) has been applied. Splits at tile
+  /// boundaries with the first half rounded down, so a side one tile wide
+  /// leaves its first half empty and only the other side splits.
+  template <int W, Fold F>
+  void rect(const Inner& s, index_t r0, index_t r1, index_t c0,
+            index_t c1) const {
+    if (r0 == r1 || c0 == c1) return;
+    if (r1 - r0 == 1 && c1 - c0 == 1) {
+      corner<W, F>(s, r0, c0);
+      return;
+    }
+    const index_t rm = r0 + (r1 - r0) / 2;
+    const index_t cm = c0 + (c1 - c0) / 2;
+    const index_t left_k = s.row0 + rm * W;   // D1's tiles [rm, r1)
+    const index_t bottom_k = s.col0 + c0 * W;  // D2's tiles [c0, cm)
+    // BL: the parent's invariant already holds.
+    rect<W, F>(s, rm, r1, c0, cm);
+    // TL: the left strip, against BL.
+    strip<W>(s, r0, rm, c0, cm, tile(s.D1, r0, rm), tile(s.C, rm, c0),
+             r1 - rm, left_k);
+    rect<W, F>(s, r0, rm, c0, cm);
+    // BR: the bottom strip, against BL.
+    strip<W>(s, rm, r1, cm, c1, tile(s.C, rm, c0), tile(s.D2, c0, cm),
+             cm - c0, bottom_k);
+    rect<W, F>(s, rm, r1, cm, c1);
+    // TR: the left strip against BR, then the bottom strip against TL.
+    strip<W>(s, r0, rm, cm, c1, tile(s.D1, r0, rm), tile(s.C, rm, cm),
+             r1 - rm, left_k);
+    strip<W>(s, r0, rm, cm, c1, tile(s.C, r0, c0), tile(s.D2, c0, cm),
+             cm - c0, bottom_k);
+    rect<W, F>(s, r0, rm, cm, c1);
+  }
+
+  /// C's tiles [r0,r1) x [c0,c1) (+)= A (x) B over a strip of kt k tiles
+  /// from global k gk; A and B point at the strip's first tiles.
+  template <int W>
+  void strip(const Inner& s, index_t r0, index_t r1, index_t c0, index_t c1,
+             const T* A, const T* B, index_t kt, index_t gk) const {
+    if (r0 == r1 || c0 == c1 || kt == 0) return;
+    block_product(tile(s.C, r0, c0), A, B, (r1 - r0) * W, kt * W,
+                  (c1 - c0) * W, s.row0 + r0 * W, gk, s.col0 + c0 * W, s.st);
+  }
+
+  /// Stage 2 tile by tile, for argmin and general k-term instances: tiles
+  /// column-ascending / row-descending, each folding in (a) k in D1's
+  /// tiles right of its row tile, (b) k in D2's tiles left of its column
+  /// tile, then its corner.
+  template <int W>
+  void walk(const Inner& s, bool diag) const {
     for (index_t ct = 0; ct < tb_; ++ct) {
       for (index_t rt = diag ? ct : tb_ - 1; rt >= 0; --rt) {
         if (diag && rt == ct) {
-          if (traced) {
-            CELLNPDP_TRACE_SPAN("diag", "diag", rt, rt);
-            diagonal_tile(Cb, rt, row0, col0, st);
-          } else {
-            diagonal_tile(Cb, rt, row0, col0, st);
-          }
+          diagonal_tile<W, Fold::Walk>(s, rt);
           continue;
         }
-        // (a) k in the block-row range right of tile rt, paired with C
-        // tiles below this one in tile-column ct. For a diagonal block the
-        // range is clipped at ct: those are exactly its middle tiles.
+        // (a) pairs with C tiles below this one in tile-column ct. For a
+        // diagonal block the range is clipped at ct: those are exactly
+        // its middle tiles.
         const index_t a_end = diag ? ct : tb_;
         for (index_t kt = rt + 1; kt < a_end; ++kt)
-          run_kernel(tile(Cb, rt, ct), tile(D1, rt, kt), tile(Cb, kt, ct),
-                     row0 + rt * W, row0 + kt * W, col0 + ct * W, st);
-        // (b) k in the block-column range left of tile ct, paired with C
-        // tiles left of this one in tile-row rt. Empty for diagonal blocks
-        // (already covered by (a)).
+          run_kernel(tile(s.C, rt, ct), tile(s.D1, rt, kt),
+                     tile(s.C, kt, ct), s.row0 + rt * W, s.row0 + kt * W,
+                     s.col0 + ct * W, s.st);
+        // (b) pairs with C tiles left of this one in tile-row rt. Empty
+        // for diagonal blocks (already covered by (a)).
         if (!diag)
           for (index_t kt = 0; kt < ct; ++kt)
-            run_kernel(tile(Cb, rt, ct), tile(Cb, rt, kt), tile(D2, kt, ct),
-                       row0 + rt * W, col0 + kt * W, col0 + ct * W, st);
-        if (traced) {
-          CELLNPDP_TRACE_SPAN("corner", "corner", rt, ct);
-          corner(Cb, tile(D1, rt, rt), tile(D2, ct, ct), rt, ct, row0, col0,
-                 st);
-        } else {
-          corner(Cb, tile(D1, rt, rt), tile(D2, ct, ct), rt, ct, row0, col0,
-                 st);
-        }
+            run_kernel(tile(s.C, rt, ct), tile(s.C, rt, kt),
+                       tile(s.D2, kt, ct), s.row0 + rt * W, s.col0 + kt * W,
+                       s.col0 + ct * W, s.st);
+        corner<W, Fold::Walk>(s, rt, ct);
       }
     }
   }
 
-  /// Scalar corner pass: folds in the same-tile parts of the diagonal
-  /// blocks and the tile's own inner dependences, then finalises each cell.
-  /// Cells are walked column-ascending / row-descending so every value read
-  /// is already final.
-  void corner(T* Cb, const T* A1, const T* B2, index_t rt, index_t ct,
-              index_t row0, index_t col0, EngineStats* st) const {
-    const index_t W = kern_.width;
-    const index_t n = inst_->n;
-    const bool kt_on = !ku_.empty();
-    for (index_t lc = 0; lc < W; ++lc) {
-      const index_t c = ct * W + lc;
-      const index_t gj = col0 + c;
-      for (index_t lr = W - 1; lr >= 0; --lr) {
-        const index_t r = rt * W + lr;
-        const index_t gi = row0 + r;
-        T acc = Cb[r * bs_ + c];
-        T karg = T(-2);  // sentinel: unchanged
-        for (index_t lk = lr + 1; lk < W; ++lk) {
-          const index_t gk = row0 + rt * W + lk;
-          T cand = S::times(A1[lr * bs_ + lk], Cb[(rt * W + lk) * bs_ + c]);
-          if (kt_on) cand = S::times(cand, ku_[gi] * kv_[gk] * kw_[gj]);
-          if (ktg_) {
-            if (gi >= n || gk >= n || gj >= n) continue;
-            cand = S::times(cand, inst_->kterm(gi, gk, gj));
-          }
-          relax(acc, karg, cand, gk);
-        }
-        for (index_t lk = 0; lk < lc; ++lk) {
-          const index_t gk = col0 + ct * W + lk;
-          T cand = S::times(Cb[r * bs_ + ct * W + lk], B2[lk * bs_ + lc]);
-          if (kt_on) cand = S::times(cand, ku_[gi] * kv_[gk] * kw_[gj]);
-          if (ktg_) {
-            if (gi >= n || gk >= n || gj >= n) continue;
-            cand = S::times(cand, inst_->kterm(gi, gk, gj));
-          }
-          relax(acc, karg, cand, gk);
-        }
-        if (st != nullptr) st->corner_relax += (W - 1 - lr) + lc;
-        finalize_cell(Cb, r, c, gi, gj, n, acc, st, karg);
-      }
-    }
+  template <int W>
+  void load_tile(T (&dst)[W][W], const T* src) const {
+    for (int r = 0; r < W; ++r)
+      for (int c = 0; c < W; ++c) dst[r][c] = src[r * bs_ + c];
+  }
+  template <int W>
+  void store_tile(T* dst, const T (&src)[W][W]) const {
+    for (int r = 0; r < W; ++r)
+      for (int c = 0; c < W; ++c) dst[r * bs_ + c] = src[r][c];
   }
 
-  /// A triangular tile on the diagonal of a diagonal block: fully
-  /// self-contained, resolved with the original scalar recurrence.
-  void diagonal_tile(T* Cb, index_t t, index_t row0, index_t col0,
-                     EngineStats* st) const {
-    const index_t W = kern_.width;
-    const index_t n = inst_->n;
-    const bool kt_on = !ku_.empty();
-    for (index_t lc = 1; lc < W; ++lc) {
-      const index_t c = t * W + lc;
-      const index_t gj = col0 + c;
-      for (index_t lr = lc - 1; lr >= 0; --lr) {
-        const index_t r = t * W + lr;
-        const index_t gi = row0 + r;
-        T acc = Cb[r * bs_ + c];
-        T karg = T(-2);
-        for (index_t lk = lr + 1; lk < lc; ++lk) {
-          const index_t gk = row0 + t * W + lk;
-          T cand =
-              S::times(Cb[r * bs_ + t * W + lk], Cb[(t * W + lk) * bs_ + c]);
-          if (kt_on) cand = S::times(cand, ku_[gi] * kv_[gk] * kw_[gj]);
-          if (ktg_) {
-            if (gi >= n || gk >= n || gj >= n) continue;
-            cand = S::times(cand, inst_->kterm(gi, gk, gj));
-          }
-          relax(acc, karg, cand, gk);
-        }
-        if (st != nullptr) st->diag_relax += lc - 1 - lr;
-        finalize_cell(Cb, r, c, gi, gj, n, acc, st, karg);
-      }
-    }
-  }
-
-  /// Folds one candidate into the running cell value. Idempotent
-  /// semirings relax with a strict-improvement compare (argmin tracking
-  /// keeps the earliest winning k on ties, exactly as before); counting
-  /// accumulates every candidate.
-  void relax(T& acc, T& karg, T cand, index_t gk) const {
-    if constexpr (S::idempotent) {
-      if (S::improves(cand, acc)) {
-        acc = cand;
-        karg = T(gk);
-      }
+  /// Corner leaf of tile (rt, ct), on local copies of it and of the
+  /// diagonal tiles of its row and column; the C tile never overlaps them,
+  /// as rt < ct inside a diagonal block.
+  template <int W, Fold F>
+  void corner(const Inner& s, index_t rt, index_t ct) const {
+    if (s.traced) {
+      CELLNPDP_TRACE_SPAN("corner", "corner", rt, ct);
+      corner_cells<W, F>(s, rt, ct);
     } else {
-      (void)karg;
+      corner_cells<W, F>(s, rt, ct);
+    }
+  }
+
+  template <int W, Fold F>
+  void corner_cells(const Inner& s, index_t rt, index_t ct) const {
+    T c[W][W], a[W][W], b[W][W];
+    T* Ct = tile(s.C, rt, ct);
+    load_tile<W>(c, Ct);
+    load_tile<W>(a, tile(s.D1, rt, rt));
+    load_tile<W>(b, tile(s.D2, ct, ct));
+    const index_t gi0 = s.row0 + rt * W;
+    const index_t gj0 = s.col0 + ct * W;
+    leaf_ops<F>(s, rt * W, ct * W, gi0, gj0, [&](auto&& fold, auto&& fin) {
+      detail::corner_leaf<W>(c, a, b, gi0, gj0, fold, fin);
+    });
+    store_tile<W>(Ct, c);
+    if (s.st != nullptr) {
+      s.st->corner_relax += W * W * (W - 1);
+      s.st->cells_finalized += W * W;
+    }
+  }
+
+  /// Triangular tile t on the tile diagonal of a diagonal block: fully
+  /// self-contained, resolved on a local copy.
+  template <int W, Fold F>
+  void diagonal_tile(const Inner& s, index_t t) const {
+    if (s.traced) {
+      CELLNPDP_TRACE_SPAN("diag", "diag", t, t);
+      diagonal_cells<W, F>(s, t);
+    } else {
+      diagonal_cells<W, F>(s, t);
+    }
+  }
+
+  template <int W, Fold F>
+  void diagonal_cells(const Inner& s, index_t t) const {
+    T c[W][W];
+    T* Ct = tile(s.C, t, t);
+    load_tile<W>(c, Ct);
+    const index_t g0 = s.row0 + t * W;
+    leaf_ops<F>(s, t * W, t * W, g0, g0, [&](auto&& fold, auto&& fin) {
+      detail::diagonal_leaf<W>(c, g0, fold, fin);
+    });
+    store_tile<W>(Ct, c);
+    if (s.st != nullptr) {
+      s.st->diag_relax += W * (W - 1) * (W - 2) / 6;
+      s.st->cells_finalized += W * (W - 1) / 2;
+    }
+  }
+
+  /// Calls leaf(fold, finish) with the leaf operations of F for the tile of
+  /// s.C at cell (r0, c0), global (gi0, gj0). A pure instance finishes a
+  /// cell with its folded value, so its leaves call nothing and keep their
+  /// tiles in registers.
+  template <Fold F, class Leaf>
+  void leaf_ops(const Inner& s, index_t r0, index_t c0, index_t gi0,
+                index_t gj0, Leaf&& leaf) const {
+    T karg = T(-2);
+    const auto fold_one = [&](T& acc, T x, T y, index_t gi, index_t gk,
+                              index_t gj) {
+      fold<F>(acc, karg, x, y, gi, gk, gj);
+    };
+    if (F != Fold::Walk && !general_) {
+      leaf(fold_one, [](int, int, T, T acc) { return acc; });
+      return;
+    }
+    leaf(fold_one, [&](int lr, int lc, T cur, T acc) {
+      return finalize_cell<F>(s.C, r0 + lr, c0 + lc, gi0 + lr, gj0 + lc, cur,
+                              acc, karg);
+    });
+  }
+
+  /// Folds the candidate x (x) y of (gi, gk, gj) into a leaf cell's running
+  /// value. Pure and Sep relax with S::plus, which has no branch.
+  template <Fold F>
+  void fold(T& acc, T& karg, T x, T y, index_t gi, index_t gk,
+            index_t gj) const {
+    if constexpr (F == Fold::Walk) {
+      walk_fold(acc, karg, x, y, gi, gk, gj);
+    } else {
+      T cand = S::times(x, y);
+      if constexpr (F == Fold::Sep)
+        cand = S::times(cand, ku_[gi] * kv_[gk] * kw_[gj]);
       acc = S::plus(acc, cand);
     }
   }
 
-  /// karg: the corner pass's improvement (global k), or -2 when the corner
-  /// pass did not improve on the stage-kernel value.
-  void finalize_cell(T* Cb, index_t r, index_t c, index_t gi, index_t gj,
-                     index_t n, T acc, EngineStats* st,
-                     T karg = T(-2)) const {
-    if (st != nullptr) ++st->cells_finalized;
-    T* arg_cell = nullptr;
-    if (argm_ != nullptr) {
-      arg_cell = argm_->data() + (Cb - mat_->data()) + r * bs_ + c;
-      if (karg != T(-2)) *arg_cell = karg;
+  /// Walk's fold: applies the instance's k-terms and, with an argmin table
+  /// attached, keeps the improving k in karg (strict improvement: the
+  /// earliest winning k on ties). Like finalize_cell it stays out of line,
+  /// so the unrolled leaves of the rarer modes stay small.
+  [[gnu::noinline]] void walk_fold(T& acc, T& karg, T x, T y, index_t gi,
+                                   index_t gk, index_t gj) const {
+    T cand = S::times(x, y);
+    if (!ku_.empty()) cand = S::times(cand, ku_[gi] * kv_[gk] * kw_[gj]);
+    if (ktg_) {
+      const index_t n = inst_->n;
+      if (gi >= n || gk >= n || gj >= n) return;
+      cand = S::times(cand, inst_->kterm(gi, gk, gj));
     }
-    if (!general_) {
-      Cb[r * bs_ + c] = acc;
+    if (S::idempotent && argm_ != nullptr) {
+      if (S::improves(cand, acc)) {
+        acc = cand;
+        karg = T(gk);
+      }
       return;
     }
-    if (gi >= n || gj >= n) return;  // padding stays the semiring zero
+    acc = S::plus(acc, cand);
+  }
+
+  /// The final value of cell (r, c) of block Cb, global (gi, gj), whose
+  /// leaf candidates folded to acc from its earlier value cur. karg is the
+  /// leaf's improving k, or -2 when the leaf did not improve on the stage
+  /// kernels' value; it is reset for the next cell.
+  template <Fold F>
+  [[gnu::noinline]] T finalize_cell(T* Cb, index_t r, index_t c, index_t gi,
+                                    index_t gj, T cur, T acc,
+                                    T& karg) const {
+    T* arg_cell = nullptr;
+    if constexpr (F == Fold::Walk) {
+      if (argm_ != nullptr) {
+        arg_cell = argm_->data() + (Cb - mat_->data()) + r * bs_ + c;
+        if (karg != T(-2)) *arg_cell = karg;
+      }
+      karg = T(-2);
+    }
+    if (!general_) return acc;
+    const index_t n = inst_->n;
+    if (gi >= n || gj >= n) return cur;  // padding stays the semiring zero
     const T init = inst_->init(gi, gj);
     const T w = inst_->weight ? inst_->weight(gi, gj) : S::one();
     const T relaxed = S::times(w, acc);
     if constexpr (S::idempotent) {
-      if (S::improves(relaxed, init)) {
-        Cb[r * bs_ + c] = relaxed;
-      } else {
-        Cb[r * bs_ + c] = init;
-        if (arg_cell != nullptr) *arg_cell = T(-1);  // the init survived
-      }
+      if (S::improves(relaxed, init)) return relaxed;
+      if (arg_cell != nullptr) *arg_cell = T(-1);  // the init survived
+      return init;
     } else {
-      Cb[r * bs_ + c] = S::plus(init, relaxed);
+      return S::plus(init, relaxed);
     }
   }
 
@@ -451,6 +661,8 @@ class BlockEngine {
   bool ktg_ = false;
   BlockedTriangularMatrix<T>* argm_ = nullptr;
   aligned_vector<T> ku_, kv_, kw_;  // padded copies; empty when no k-term
+  void (BlockEngine::*inner_)(T*, const T*, const T*, bool, index_t, index_t,
+                              EngineStats*) const = nullptr;
 };
 
 }  // namespace cellnpdp

@@ -8,9 +8,10 @@
 //            one of the "wider machines" ablations
 //
 // and by a semiring S (default min-plus): cb_kernel<T, S>(kind) returns
-// the bundle of S-specialised computing-block kernels, plus the block
-// products stage 1 calls once per middle block pair. The argmin kernel
-// exists only for min-plus (arg is null otherwise; the engine guards it).
+// the bundle of S-specialised computing-block kernels, plus the strided
+// block products the engine runs stage 1 and stage 2's recursion on. The
+// argmin kernel exists only for min-plus (arg is null otherwise; the
+// engine guards it).
 #pragma once
 
 #include <string_view>
@@ -39,16 +40,21 @@ struct CbKernel {
                          const T*, const T*, const T*);
   using ArgFn = void (*)(T*, T*, index_t, const T*, index_t, const T*,
                          index_t, index_t);
-  using BlockFn = void (*)(T*, const T*, const T*, index_t);
-  using BlockSepFn = void (*)(T*, const T*, const T*, index_t, const T*,
-                              const T*, const T*);
+  using BlockFn = void (*)(T*, const T*, const T*, index_t, index_t,
+                           index_t, index_t);
+  using BlockSepFn = void (*)(T*, const T*, const T*, index_t, index_t,
+                              index_t, index_t, const T*, const T*,
+                              const T*);
 
   index_t width = 4;       ///< computing-block side in cells
   PureFn pure = nullptr;   ///< C = C (+) (A (x) B)
   SepFn sep = nullptr;     ///< with separable u*v*w factor
   ArgFn arg = nullptr;     ///< pure relaxation + argmin-k (min-plus only)
-  BlockFn block = nullptr;         ///< pure over bs x bs memory blocks
-  BlockSepFn block_sep = nullptr;  ///< separable over bs x bs memory blocks
+  /// Pure block product (C, A, B, rows, depth, cols, ld): rows x cols of
+  /// C at stride ld relaxed by rows x depth of A and depth x cols of B;
+  /// every size a multiple of width.
+  BlockFn block = nullptr;
+  BlockSepFn block_sep = nullptr;  ///< block with the separable factor
   KernelKind kind = KernelKind::Scalar;
 };
 
@@ -57,14 +63,14 @@ namespace detail {
 template <class S, class T, int W>
 CELLNPDP_NOVEC void scalar_pure_fixed(T* C, index_t sc, const T* A, index_t sa,
                                       const T* B, index_t sb) {
-  semiring_tile_scalar<S, T>(C, sc, A, sa, B, sb, W);
+  semiring_tile_scalar<S, T>(C, sc, A, sa, B, sb, W, W, W);
 }
 
 template <class S, class T, int W>
 CELLNPDP_NOVEC void scalar_sep_fixed(T* C, index_t sc, const T* A, index_t sa,
                                      const T* B, index_t sb, const T* u,
                                      const T* v, const T* w) {
-  semiring_tile_scalar_sep<S, T>(C, sc, A, sa, B, sb, W, u, v, w);
+  semiring_tile_scalar_sep<S, T>(C, sc, A, sa, B, sb, W, W, W, u, v, w);
 }
 
 template <class T, int W>
@@ -78,15 +84,18 @@ CELLNPDP_NOVEC void scalar_arg_fixed(T* C, T* KC, index_t sc, const T* A,
 }
 
 template <class S, class T>
-CELLNPDP_NOVEC void scalar_block(T* C, const T* A, const T* B, index_t bs) {
-  semiring_tile_scalar<S, T>(C, bs, A, bs, B, bs, bs);
+CELLNPDP_NOVEC void scalar_block(T* C, const T* A, const T* B, index_t rows,
+                                 index_t depth, index_t cols, index_t ld) {
+  semiring_tile_scalar<S, T>(C, ld, A, ld, B, ld, rows, depth, cols);
 }
 
 template <class S, class T>
 CELLNPDP_NOVEC void scalar_block_sep(T* C, const T* A, const T* B,
-                                     index_t bs, const T* u, const T* v,
-                                     const T* w) {
-  semiring_tile_scalar_sep<S, T>(C, bs, A, bs, B, bs, bs, u, v, w);
+                                     index_t rows, index_t depth,
+                                     index_t cols, index_t ld, const T* u,
+                                     const T* v, const T* w) {
+  semiring_tile_scalar_sep<S, T>(C, ld, A, ld, B, ld, rows, depth, cols, u,
+                                 v, w);
 }
 
 }  // namespace detail

@@ -18,10 +18,12 @@
 // which is what the optimal-matrix-parenthesization instance needs
 // (p_i * p_k * p_j); pure NPDP passes no term.
 //
-// semiring_block[_sep] apply the same relaxation to whole bs x bs memory
-// blocks for stage 1 of the engine: a 4-row x 2-vector panel of C stays in
-// registers while k streams over the block, so C is loaded and stored once
-// per block product rather than once per WxW tile.
+// semiring_block[_sep] apply the same relaxation to a rows x depth x cols
+// sub-product of strided memory blocks, every side a multiple of W: a
+// 4-row x 2-vector panel of C stays in registers while k streams over the
+// depth, so C is loaded and stored once per product rather than once per
+// WxW tile. Stage 1 of the engine calls it on whole memory blocks, stage 2
+// on the strips of its recursion.
 //
 // The minplus_* entry points below are thin aliases onto the generic
 // kernels instantiated with MinPlusSemiring — same instructions, same
@@ -152,74 +154,82 @@ inline void panel_row_sep(Vec<T, W>* c, Vec<T, W> a, const Vec<T, W>* b,
 }
 
 /// One register panel of a block product: rows r0+R... and NV vectors from
-/// column c0 of C, held in registers while k streams over the whole block.
+/// column c0 of C, held in registers while k streams over the depth.
 /// A[r][k] is broadcast from memory; u/v/w are read only when Sep.
 template <class S, class T, int W, int NV, bool Sep, std::size_t... R>
-inline void semiring_panel(T* C, const T* A, const T* B, index_t bs,
-                           index_t r0, index_t c0, const T* u, const T* v,
-                           const T* w, std::index_sequence<R...>) {
+inline void semiring_panel(T* C, const T* A, const T* B, index_t depth,
+                           index_t ld, index_t r0, index_t c0, const T* u,
+                           const T* v, const T* w,
+                           std::index_sequence<R...>) {
   using V = Vec<T, W>;
   constexpr auto vs = std::make_index_sequence<NV>{};
-  C += r0 * bs + c0;
-  A += r0 * bs;
+  C += r0 * ld + c0;
+  A += r0 * ld;
   B += c0;
   V c[sizeof...(R)][NV];
   V wv[NV]{};
-  (panel_load<T, W>(c[R], C + R * bs, vs), ...);
+  (panel_load<T, W>(c[R], C + R * ld, vs), ...);
   if constexpr (Sep) panel_load<T, W>(wv, w + c0, vs);
-  for (index_t k = 0; k < bs; ++k) {
+  for (index_t k = 0; k < depth; ++k) {
     V b[NV];
-    panel_load<T, W>(b, B + k * bs, vs);
+    panel_load<T, W>(b, B + k * ld, vs);
     if constexpr (Sep) {
-      (panel_row_sep<S, T, W>(c[R], V::set1(A[R * bs + k]), b,
+      (panel_row_sep<S, T, W>(c[R], V::set1(A[R * ld + k]), b,
                               V::set1(u[r0 + R] * v[k]), wv, vs),
        ...);
     } else {
-      (panel_row<S, T, W>(c[R], V::set1(A[R * bs + k]), b, vs), ...);
+      (panel_row<S, T, W>(c[R], V::set1(A[R * ld + k]), b, vs), ...);
     }
   }
-  (panel_store<T, W>(c[R], C + R * bs, vs), ...);
+  (panel_store<T, W>(c[R], C + R * ld, vs), ...);
 }
 
 template <class S, class T, int W, bool Sep>
-inline void semiring_block_impl(T* C, const T* A, const T* B, index_t bs,
+inline void semiring_block_impl(T* C, const T* A, const T* B, index_t rows,
+                                index_t depth, index_t cols, index_t ld,
                                 const T* u, const T* v, const T* w) {
   // 4 rows x 2 vectors: 8 accumulators, 2 B vectors and 1 broadcast fit
   // the 16 vector registers of x86-64; wider panels spill.
   constexpr int kRows = 4;
   constexpr index_t kPanel = 2 * W;
-  const auto row_panel = [&](index_t r, auto rows) {
+  const auto row_panel = [&](index_t r, auto panel_rows) {
     index_t c = 0;
-    for (; c + kPanel <= bs; c += kPanel)
-      semiring_panel<S, T, W, 2, Sep>(C, A, B, bs, r, c, u, v, w, rows);
-    if (c < bs)  // bs is a multiple of W: the tail is one vector wide
-      semiring_panel<S, T, W, 1, Sep>(C, A, B, bs, r, c, u, v, w, rows);
+    for (; c + kPanel <= cols; c += kPanel)
+      semiring_panel<S, T, W, 2, Sep>(C, A, B, depth, ld, r, c, u, v, w,
+                                      panel_rows);
+    if (c < cols)  // cols is a multiple of W: the tail is one vector wide
+      semiring_panel<S, T, W, 1, Sep>(C, A, B, depth, ld, r, c, u, v, w,
+                                      panel_rows);
   };
   index_t r = 0;
-  for (; r + kRows <= bs; r += kRows)
+  for (; r + kRows <= rows; r += kRows)
     row_panel(r, std::make_index_sequence<kRows>{});
-  for (; r < bs; ++r) row_panel(r, std::index_sequence<0>{});
+  for (; r < rows; ++r) row_panel(r, std::index_sequence<0>{});
 }
 
 }  // namespace detail
 
-/// Register-blocked block product over three bs x bs memory blocks (row
-/// stride bs, bs a multiple of W): C = C (+) (A (x) B). Every C cell folds
-/// its bs candidates in ascending k, the order a walk of WxW semiring_cb
-/// calls over the tile triples gives, so the results are bit-identical;
-/// only the C loads and stores between tiles are gone.
+/// Register-blocked block product C = C (+) (A (x) B) over a rows x cols
+/// block of C, a rows x depth block of A and a depth x cols block of B,
+/// all at row stride ld; every size is a multiple of W. Every C cell folds
+/// its depth candidates in ascending k, the order a walk of WxW
+/// semiring_cb calls over the tile triples gives, so the results are
+/// bit-identical; only the C loads and stores between tiles are gone.
 template <class S, class T, int W>
-inline void semiring_block(T* C, const T* A, const T* B, index_t bs) {
-  detail::semiring_block_impl<S, T, W, false>(C, A, B, bs, nullptr, nullptr,
-                                              nullptr);
+inline void semiring_block(T* C, const T* A, const T* B, index_t rows,
+                           index_t depth, index_t cols, index_t ld) {
+  detail::semiring_block_impl<S, T, W, false>(C, A, B, rows, depth, cols, ld,
+                                              nullptr, nullptr, nullptr);
 }
 
 /// semiring_block with the separable factor u[r]*v[k]*w[c] of
-/// semiring_cb_sep; u/v/w point at the block's first row, k and column.
+/// semiring_cb_sep; u/v/w point at the product's first row, k and column.
 template <class S, class T, int W>
-inline void semiring_block_sep(T* C, const T* A, const T* B, index_t bs,
+inline void semiring_block_sep(T* C, const T* A, const T* B, index_t rows,
+                               index_t depth, index_t cols, index_t ld,
                                const T* u, const T* v, const T* w) {
-  detail::semiring_block_impl<S, T, W, true>(C, A, B, bs, u, v, w);
+  detail::semiring_block_impl<S, T, W, true>(C, A, B, rows, depth, cols, ld,
+                                             u, v, w);
 }
 
 /// The paper's (min,+) kernel: semiring_cb instantiated with min-plus.
@@ -305,17 +315,19 @@ CELLNPDP_NOVEC void minplus_tile_scalar_arg(T* C, T* KC, index_t sc,
     }
 }
 
-/// Deliberately scalar tile relaxation with a runtime side, used by the
+/// Deliberately scalar relaxation of a rows x cols block of C by a
+/// rows x depth block of A and a depth x cols block of B, used by the
 /// "SIMD off" ablation and by the baselines. Never auto-vectorised.
 template <class S, class T>
 CELLNPDP_NOVEC void semiring_tile_scalar(T* C, index_t sc, const T* A,
                                          index_t sa, const T* B, index_t sb,
-                                         index_t side) {
-  for (index_t r = 0; r < side; ++r)
-    for (index_t k = 0; k < side; ++k) {
+                                         index_t rows, index_t depth,
+                                         index_t cols) {
+  for (index_t r = 0; r < rows; ++r)
+    for (index_t k = 0; k < depth; ++k) {
       const T a = A[r * sa + k];
       CELLNPDP_NOVEC_LOOP
-      for (index_t c = 0; c < side; ++c) {
+      for (index_t c = 0; c < cols; ++c) {
         const T cand = S::times(a, B[k * sb + c]);
         T& dst = C[r * sc + c];
         if constexpr (S::idempotent) {
@@ -327,19 +339,20 @@ CELLNPDP_NOVEC void semiring_tile_scalar(T* C, index_t sc, const T* A,
     }
 }
 
-/// Scalar separable-term tile relaxation (runtime side).
+/// Scalar separable-term relaxation of the same shape.
 template <class S, class T>
 CELLNPDP_NOVEC void semiring_tile_scalar_sep(T* C, index_t sc, const T* A,
                                              index_t sa, const T* B,
-                                             index_t sb, index_t side,
+                                             index_t sb, index_t rows,
+                                             index_t depth, index_t cols,
                                              const T* u, const T* v,
                                              const T* w) {
-  for (index_t r = 0; r < side; ++r)
-    for (index_t k = 0; k < side; ++k) {
+  for (index_t r = 0; r < rows; ++r)
+    for (index_t k = 0; k < depth; ++k) {
       const T avk = A[r * sa + k];
       const T uv = u[r] * v[k];
       CELLNPDP_NOVEC_LOOP
-      for (index_t c = 0; c < side; ++c) {
+      for (index_t c = 0; c < cols; ++c) {
         const T cand = S::times(S::times(avk, B[k * sb + c]), uv * w[c]);
         T& dst = C[r * sc + c];
         if constexpr (S::idempotent) {
@@ -356,7 +369,8 @@ template <class T>
 CELLNPDP_NOVEC void minplus_tile_scalar(T* C, index_t sc, const T* A,
                                         index_t sa, const T* B, index_t sb,
                                         index_t side) {
-  semiring_tile_scalar<MinPlusSemiring<T>, T>(C, sc, A, sa, B, sb, side);
+  semiring_tile_scalar<MinPlusSemiring<T>, T>(C, sc, A, sa, B, sb, side,
+                                              side, side);
 }
 
 /// (min,+) scalar separable-term tile.
@@ -367,7 +381,7 @@ CELLNPDP_NOVEC void minplus_tile_scalar_sep(T* C, index_t sc, const T* A,
                                             const T* u, const T* v,
                                             const T* w) {
   semiring_tile_scalar_sep<MinPlusSemiring<T>, T>(C, sc, A, sa, B, sb, side,
-                                                  u, v, w);
+                                                  side, side, u, v, w);
 }
 
 /// Instruction mix of one WxW computing-block relaxation as it would be

@@ -411,8 +411,11 @@ TEST(ServeCancel, DeadlineExpiryDuringExecutionFreesTheWorker) {
   // Big enough that the solve takes far longer than the deadline, which in
   // turn is far longer than dispatch latency: the deadline passes while
   // the worker is mid-solve, and the armed token aborts it cooperatively.
+  // The one-thread n = 2560, block-32 solve takes 200-280 ms on a 4-core
+  // Xeon VM, at least 4x the deadline; the deadline is 25x the
+  // dispatcher's 2 ms batch-flush tick.
   serve::Request big = solve_request(2560, 1);
-  big.deadline = serve::Clock::now() + std::chrono::milliseconds(250);
+  big.deadline = serve::Clock::now() + std::chrono::milliseconds(50);
   auto fut = service.submit(std::move(big));
   const serve::Response r = fut.get();
   EXPECT_EQ(r.status, serve::Status::Cancelled);

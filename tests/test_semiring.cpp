@@ -131,12 +131,14 @@ TEST(SemiringReference, MinPlusInstantiationMatchesLegacyReference) {
 // double at sizes where every intermediate is an exact integer (see the
 // header comment); the selection semirings sweep larger float tables.
 // Block side 4 gives counting three blocks per side, so its stage 1 runs,
-// and a block narrower than one register panel.
+// and a block narrower than one register panel. Sides 12 and 20 give the
+// float kernels (W = 4) 3 and 5 tiles per block: odd counts, which stage
+// 2's recursion splits unevenly and down to a side one tile wide.
 TEST(SemiringProperty, BlockedMatchesReferenceAcrossBlockSizes) {
   for (SemiringId sr : kAll) {
     const bool counting = sr == SemiringId::Counting;
     for (Mode mode : {Mode::Pure, Mode::Weighted, Mode::Separable}) {
-      for (index_t bs : {4, 8, 16, 24, 32}) {
+      for (index_t bs : {4, 8, 12, 16, 20, 24, 32}) {
         NpdpOptions opts;
         opts.block_side = bs;
         if (counting) {
@@ -161,6 +163,23 @@ TEST(SemiringProperty, BlockedMatchesReferenceAcrossBlockSizes) {
         }
       }
     }
+  }
+  // Counting across off-diagonal blocks deep enough to recurse: the
+  // binary trees over the superdiagonal (Catalan numbers, C(30) < 2^53 at
+  // n = 32) stay exact integers in double. The double kernel (W = 2) has
+  // 6 and 10 tiles per block side at 12 and 20, so an off-diagonal block
+  // recurses three and four levels.
+  NpdpInstance<double> catalan;
+  catalan.n = 32;
+  catalan.semiring = SemiringId::Counting;
+  catalan.init = [](index_t i, index_t j) { return j == i + 1 ? 1.0 : 0.0; };
+  const auto ref = solve_reference_any(catalan);
+  ASSERT_EQ(ref.at(0, catalan.n - 1), 3814986502092304.0);  // C(30)
+  for (index_t bs : {12, 20}) {
+    NpdpOptions opts;
+    opts.block_side = bs;
+    expect_identical(ref, to_triangular(solve_blocked(catalan, opts)),
+                     "counting, Catalan");
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -220,7 +221,7 @@ void semiring_kernel_case(std::uint64_t seed, double zero_fraction) {
 
   semiring_cb<S, T, W>(c0.data(), stride, a.data(), stride, b.data(), stride);
   semiring_tile_scalar<S, T>(c1.data(), stride, a.data(), stride, b.data(),
-                             stride, W);
+                             stride, W, W, W);
   for (index_t r = 0; r < W; ++r)
     for (index_t col = 0; col < W; ++col)
       EXPECT_EQ(c0[r * stride + col], c1[r * stride + col])
@@ -281,7 +282,7 @@ void semiring_sep_kernel_case(std::uint64_t seed) {
   semiring_cb_sep<S, T, W>(c0.data(), stride, a.data(), stride, b.data(),
                            stride, u, v, w);
   semiring_tile_scalar_sep<S, T>(c1.data(), stride, a.data(), stride, b.data(),
-                                 stride, W, u, v, w);
+                                 stride, W, W, W, u, v, w);
   for (index_t r = 0; r < W; ++r)
     for (index_t col = 0; col < W; ++col)
       EXPECT_EQ(c0[r * stride + col], c1[r * stride + col])
@@ -320,56 +321,88 @@ aligned_vector<typename S::value_type> random_operands(
   return buf;
 }
 
-/// The tile walk the block product replaces: one WxW kernel call per tile
-/// triple, in (row tile, k tile, column tile) order.
+/// The tile walk a block product replaces: one WxW kernel call per tile
+/// triple, in (row tile, k tile, column tile) order, at row stride ld.
 template <class T>
 void tile_walk(const CbKernel<T>& k, T* C, const T* A, const T* B,
-               index_t bs, const T* u, const T* v, const T* w) {
+               index_t rows, index_t depth, index_t cols, index_t ld,
+               const T* u, const T* v, const T* w) {
   const index_t W = k.width;
-  for (index_t rt = 0; rt < bs / W; ++rt)
-    for (index_t kt = 0; kt < bs / W; ++kt)
-      for (index_t ct = 0; ct < bs / W; ++ct) {
-        T* c = C + rt * W * bs + ct * W;
-        const T* a = A + rt * W * bs + kt * W;
-        const T* b = B + kt * W * bs + ct * W;
+  for (index_t rt = 0; rt < rows / W; ++rt)
+    for (index_t kt = 0; kt < depth / W; ++kt)
+      for (index_t ct = 0; ct < cols / W; ++ct) {
+        T* c = C + rt * W * ld + ct * W;
+        const T* a = A + rt * W * ld + kt * W;
+        const T* b = B + kt * W * ld + ct * W;
         if (u != nullptr)
-          k.sep(c, bs, a, bs, b, bs, u + rt * W, v + kt * W, w + ct * W);
+          k.sep(c, ld, a, ld, b, ld, u + rt * W, v + kt * W, w + ct * W);
         else
-          k.pure(c, bs, a, bs, b, bs);
+          k.pure(c, ld, a, ld, b, ld);
       }
 }
 
+/// Where one strided sub-product sits: a rows x cols block of C at (cr,
+/// cc), a rows x depth block of A at (cr, ak) and a depth x cols block of
+/// B at (ak, cc), inside ld x ld buffers. The separable factors are
+/// indexed by the same coordinates.
+struct SubProduct {
+  index_t rows, depth, cols, ld;
+  index_t cr = 0, cc = 0, ak = 0;
+};
+
 template <class S>
-void block_matches_tile_walk(KernelKind kind, index_t bs, std::uint64_t seed) {
+void block_matches_tile_walk(KernelKind kind, const SubProduct& p,
+                             std::uint64_t seed) {
   using T = typename S::value_type;
   const CbKernel<T> k = cb_kernel<T, S>(kind);
-  const auto a = random_operands<S>(bs * bs, seed + 1, 0.2);
-  const auto b = random_operands<S>(bs * bs, seed + 2, 0.2);
+  const index_t cells = p.ld * p.ld;
+  const auto a = random_operands<S>(cells, seed + 1, 0.2);
+  const auto b = random_operands<S>(cells, seed + 2, 0.2);
   // Integer factors keep u*v*w exact (as in sep_kernel_case), so whether
   // the compiler fuses that product into the following add cannot change
   // a selection semiring's result.
-  aligned_vector<T> factors(static_cast<std::size_t>(3 * bs));
+  aligned_vector<T> factors(static_cast<std::size_t>(3 * p.ld));
   SplitMix64 rng(seed + 3);
   for (auto& x : factors) x = T(double(1 + rng.next_below(4)));
-  const T* u = factors.data();
-  const T* v = u + bs;
-  const T* w = v + bs;
+  const T* u = factors.data() + p.cr;
+  const T* v = factors.data() + p.ld + p.ak;
+  const T* w = factors.data() + 2 * p.ld + p.cc;
+  const T* A = a.data() + p.cr * p.ld + p.ak;
+  const T* B = b.data() + p.ak * p.ld + p.cc;
+  const auto before = random_operands<S>(cells, seed, 0.2);
   for (const bool sep : {false, true}) {
-    auto want = random_operands<S>(bs * bs, seed, 0.2);
-    auto got = want;
-    const std::size_t bytes = want.size() * sizeof(T);
+    auto want = before;
+    auto got = before;
+    T* Cw = want.data() + p.cr * p.ld + p.cc;
+    T* Cg = got.data() + p.cr * p.ld + p.cc;
     if (sep) {
-      tile_walk(k, want.data(), a.data(), b.data(), bs, u, v, w);
-      k.block_sep(got.data(), a.data(), b.data(), bs, u, v, w);
+      tile_walk(k, Cw, A, B, p.rows, p.depth, p.cols, p.ld, u, v, w);
+      k.block_sep(Cg, A, B, p.rows, p.depth, p.cols, p.ld, u, v, w);
     } else {
-      tile_walk<T>(k, want.data(), a.data(), b.data(), bs, nullptr, nullptr,
-                   nullptr);
-      k.block(got.data(), a.data(), b.data(), bs);
+      tile_walk<T>(k, Cw, A, B, p.rows, p.depth, p.cols, p.ld, nullptr,
+                   nullptr, nullptr);
+      k.block(Cg, A, B, p.rows, p.depth, p.cols, p.ld);
     }
-    EXPECT_EQ(std::memcmp(want.data(), got.data(), bytes), 0)
-        << semiring_name(S::id) << " " << kernel_kind_name(kind)
-        << (sizeof(T) == 4 ? " float" : " double") << " bs=" << bs
-        << (sep ? " separable" : " pure");
+    const std::string what =
+        std::string(semiring_name(S::id)) + " " +
+        std::string(kernel_kind_name(kind)) +
+        (sizeof(T) == 4 ? " float" : " double") + " " +
+        std::to_string(p.rows) + "x" + std::to_string(p.depth) + "x" +
+        std::to_string(p.cols) + " ld=" + std::to_string(p.ld) +
+        (sep ? " separable" : " pure");
+    EXPECT_EQ(std::memcmp(want.data(), got.data(), want.size() * sizeof(T)),
+              0)
+        << what;
+    index_t outside_changed = 0;
+    for (index_t r = 0; r < p.ld; ++r)
+      for (index_t c = 0; c < p.ld; ++c) {
+        const bool inside = r >= p.cr && r < p.cr + p.rows && c >= p.cc &&
+                            c < p.cc + p.cols;
+        const std::size_t i = static_cast<std::size_t>(r * p.ld + c);
+        if (!inside && std::memcmp(&got[i], &before[i], sizeof(T)) != 0)
+          ++outside_changed;
+      }
+    EXPECT_EQ(outside_changed, 0) << what << ": cells outside the sub-block";
   }
 }
 
@@ -382,8 +415,23 @@ TEST(Kernels, BlockProductMatchesTileWalkBitForBit) {
         using S = decltype(s);
         const index_t W =
             cb_kernel<typename S::value_type, S>(kind).width;
+        // Whole square blocks, as stage 1 calls it.
         for (index_t bs : {W, 2 * W, 3 * W, 5 * W, index_t{64}})
-          block_matches_tile_walk<S>(kind, bs, std::uint64_t(bs) * 7);
+          block_matches_tile_walk<S>(kind, {bs, bs, bs, bs},
+                                     std::uint64_t(bs) * 7);
+        // Strided sub-products, as stage 2's recursion calls it: every
+        // side taken independently, at nonzero offsets inside ld = 7W.
+        const index_t sides[] = {W, 2 * W, 3 * W, 5 * W};
+        for (index_t rows : sides)
+          for (index_t depth : sides)
+            for (index_t cols : sides) {
+              SubProduct p{rows, depth, cols, 7 * W};
+              p.cr = W;
+              p.cc = 2 * W;
+              p.ak = 7 * W - depth;
+              block_matches_tile_walk<S>(
+                  kind, p, std::uint64_t(rows * 131 + depth * 17 + cols));
+            }
       };
       with_semiring<float>(sr, run);
       with_semiring<double>(sr, run);

@@ -302,20 +302,22 @@ for SR in min-plus max-plus counting viterbi-log; do
 done
 echo "dist: clean (3 peers x 4 semirings, all ranks bit-identical)"
 
-echo "== sanitizers (simd + layout + semiring + serve + qos + taskgraph + cancel + resilience + net + router + dist + cli) =="
+echo "== sanitizers (simd + layout + semiring + differential + serve + qos + taskgraph + cancel + resilience + net + router + dist + cli) =="
 # The concurrency-heavy suites rerun under ASan/UBSan in a separate tree;
-# the semiring property sweep rides along so every instantiation's kernel
-# and solve paths get sanitized too, the simd and layout suites cover
-# the block product's tail panels and the mapping table allocator, and
-# the CLI flag parser is covered because it reads input from outside.
+# the semiring property sweep and the backend differential matrix ride
+# along so every instantiation's kernel and solve paths get sanitized too,
+# the simd and layout suites cover the block product's tail panels and
+# the mapping table allocator, and the CLI flag parser is covered because
+# it reads input from outside.
 ASAN_DIR=${ASAN_DIR:-build-asan}
 cmake -B "$ASAN_DIR" -S . -DCELLNPDP_SANITIZE=address,undefined
 cmake --build "$ASAN_DIR" -j "$JOBS" --target test_simd test_layout \
     test_serve test_qos test_taskgraph test_cancel test_resilience test_net \
-    test_router test_semiring test_dist test_cli
+    test_router test_semiring test_differential test_dist test_cli
 "$ASAN_DIR"/tests/test_simd
 "$ASAN_DIR"/tests/test_layout
 "$ASAN_DIR"/tests/test_semiring
+"$ASAN_DIR"/tests/test_differential
 "$ASAN_DIR"/tests/test_serve
 "$ASAN_DIR"/tests/test_qos
 "$ASAN_DIR"/tests/test_taskgraph
