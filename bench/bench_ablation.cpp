@@ -4,6 +4,7 @@
 //   (3) 128-bit vs 256-bit kernels on the host CPU;
 //   (4) simplified (left+below) dependence graph vs full-graph release
 //       timing — measured as simulated makespan with forced serial chains.
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -112,10 +113,11 @@ void ablate_prefetch(const BenchConfig&) {
               "is itself the design point)\n");
 }
 
-void ablate_argmin(const BenchConfig& cfg) {
+void ablate_traceback(const BenchConfig& cfg) {
   const index_t n = cfg.full ? 2048 : 1024;
-  std::printf("\n(5) Argmin tracking overhead (native, n=%ld, SP, single "
-              "thread):\n", static_cast<long>(n));
+  std::printf("\n(5) Split traceback overhead (native, n=%ld, SP, single "
+              "thread, fastest of 5 interleaved runs):\n",
+              static_cast<long>(n));
   NpdpInstance<float> inst;
   inst.n = n;
   inst.init = [](index_t i, index_t j) {
@@ -123,23 +125,29 @@ void ablate_argmin(const BenchConfig& cfg) {
   };
   NpdpOptions o;
   o.block_side = 64;
-  Stopwatch s1;
-  const auto plain = solve_blocked(inst, o);
-  const double t_plain = s1.seconds();
-  volatile float sink = plain.at(0, n - 1);
-  Stopwatch s2;
-  const auto traced = solve_blocked_with_argmin(inst, o);
-  const double t_arg = s2.seconds();
-  sink = traced.values.at(0, n - 1);
+  double t_plain = 1e300, t_split = 1e300;
+  index_t splits = 0;
+  volatile float sink = 0;
+  for (int rep = 0; rep < 5; ++rep) {
+    Stopwatch s1;
+    const auto plain = solve_blocked(inst, o);
+    t_plain = std::min(t_plain, s1.seconds());
+    sink = plain.at(0, n - 1);
+    Stopwatch s2;
+    const auto traced = solve_blocked(inst, o);
+    splits = 0;
+    visit_splits(traced, inst, 0, n - 1,
+                 [&](index_t, index_t, index_t) { ++splits; });
+    t_split = std::min(t_split, s2.seconds());
+    sink = traced.at(0, n - 1);
+  }
   (void)sink;
   TextTable t({"variant", "time", "relative"});
   t.row("values only", fmt_seconds(t_plain), "1.00x");
-  t.row("values + argmin", fmt_seconds(t_arg), fmt_x(t_arg / t_plain));
+  t.row("values + split tree (" + std::to_string(splits) + " splits)",
+        fmt_seconds(t_split), fmt_x(t_split / t_plain));
   t.print();
-  std::printf("(the argmin kernel doubles the blend traffic per step; use "
-              "it only when the decision tree is needed)\n");
 }
-
 
 void ablate_scheduler(const BenchConfig&) {
   std::printf("\n(6) Task queue vs barrier wavefronts (simulated QS20, "
@@ -288,13 +296,14 @@ int main(int argc, char** argv) {
   using namespace cellnpdp;
   const auto cfg = BenchConfig::from_args(argc, argv);
   print_bench_header("Ablations: scheduling blocks, register caching, "
-                     "kernel width, prefetch, argmin, scheduler, semirings",
+                     "kernel width, prefetch, split traceback, scheduler, "
+                     "semirings",
                      cfg);
   ablate_sched_block(cfg);
   ablate_register_caching(cfg);
   ablate_kernel_width(cfg);
   ablate_prefetch(cfg);
-  ablate_argmin(cfg);
+  ablate_traceback(cfg);
   ablate_scheduler(cfg);
   BenchJson json("semiring", cfg);
   ablate_semirings(cfg, json);

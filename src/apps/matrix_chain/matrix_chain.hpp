@@ -9,20 +9,21 @@
 // p[0] x p[1], p[1] x p[2], ...
 #pragma once
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "core/reference.hpp"
 #include "core/solve.hpp"
+#include "core/traceback.hpp"
 #include "layout/convert.hpp"
 
 namespace cellnpdp {
 
 template <class T>
 struct MatrixChainResult {
-  T cost = 0;                      ///< minimal scalar multiplications
-  std::vector<index_t> split;      ///< split[i*(n+1)+j]: argmin k for (i,j)
-  std::string parenthesization;    ///< e.g. "((A0 A1) A2)"
+  T cost = 0;                    ///< minimal scalar multiplications
+  std::string parenthesization;  ///< e.g. "((A0 A1) A2)"
 };
 
 /// Builds the engine instance for dimension vector p (size n+1).
@@ -42,47 +43,24 @@ NpdpInstance<T> matrix_chain_instance(const std::vector<T>& p) {
 
 namespace matrix_chain_detail {
 
-template <class T>
-void render(const std::vector<index_t>& split, index_t n, index_t i,
-            index_t j, std::string& out) {
+/// Appends the parenthesization of boundary span (i, j) to out; split(i, j)
+/// names the span's optimal split point (a negative one reads as i + 1).
+template <class Split>
+void render(const Split& split, index_t i, index_t j, std::string& out) {
+  if (j <= i) return;  // a chain of no matrices
   if (j == i + 1) {
     out += "A" + std::to_string(i);
     return;
   }
   out += "(";
-  const index_t k = split[static_cast<std::size_t>(i * (n + 1) + j)];
-  render<T>(split, n, i, k, out);
+  const index_t k = std::max(split(i, j), i + 1);
+  render(split, i, k, out);
   out += " ";
-  render<T>(split, n, k, j, out);
+  render(split, k, j, out);
   out += ")";
 }
 
 }  // namespace matrix_chain_detail
-
-/// Recovers split points from a solved boundary table by re-finding each
-/// argmin (O(n^3) total, only used for reporting).
-template <class T, class Table>
-std::vector<index_t> matrix_chain_splits(const Table& c,
-                                         const std::vector<T>& p) {
-  const index_t nodes = static_cast<index_t>(p.size());
-  std::vector<index_t> split(static_cast<std::size_t>(nodes * nodes), -1);
-  for (index_t i = 0; i < nodes; ++i)
-    for (index_t j = i + 2; j < nodes; ++j) {
-      T best = minplus_identity<T>();
-      index_t arg = i + 1;
-      for (index_t k = i + 1; k < j; ++k) {
-        const T cand = c.at(i, k) + c.at(k, j) + p[static_cast<std::size_t>(i)] *
-                           p[static_cast<std::size_t>(k)] *
-                           p[static_cast<std::size_t>(j)];
-        if (cand < best) {
-          best = cand;
-          arg = k;
-        }
-      }
-      split[static_cast<std::size_t>(i * nodes + j)] = arg;
-    }
-  return split;
-}
 
 /// Solves the chain with the blocked engine under an ExecutionContext
 /// (cancellation + deadline, tuning, stats). On Cancelled `out` is left
@@ -96,10 +74,10 @@ SolveStatus solve_matrix_chain(const std::vector<T>& p,
   const SolveStatus st = solve_blocked_into(table, inst, ctx);
   if (st != SolveStatus::Ok) return st;
   out->cost = table.at(0, inst.n - 1);
-  out->split = matrix_chain_splits<T>(table, p);
   out->parenthesization.clear();
-  matrix_chain_detail::render<T>(out->split, inst.n - 1, 0, inst.n - 1,
-                                 out->parenthesization);
+  matrix_chain_detail::render(
+      [&](index_t i, index_t j) { return split_at(table, inst, i, j); }, 0,
+      inst.n - 1, out->parenthesization);
   return SolveStatus::Ok;
 }
 
@@ -142,9 +120,11 @@ MatrixChainResult<T> solve_matrix_chain_reference(const std::vector<T>& p) {
     }
   MatrixChainResult<T> res;
   res.cost = c.at(0, nodes - 1);
-  res.split = std::move(split);
-  matrix_chain_detail::render<T>(res.split, nodes - 1, 0, nodes - 1,
-                                 res.parenthesization);
+  matrix_chain_detail::render(
+      [&](index_t i, index_t j) {
+        return split[static_cast<std::size_t>(i * nodes + j)];
+      },
+      0, nodes - 1, res.parenthesization);
   return res;
 }
 

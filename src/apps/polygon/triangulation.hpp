@@ -6,14 +6,15 @@
 //
 // over the polygon's vertices, where w is the triangle's perimeter (any
 // triangle cost works). This exercises the engine's *general* k-term path
-// (scalar tiles, since a functor cannot vectorise) and the argmin
-// traceback (each split k names the triangle (i, k, j)).
+// (scalar block products, since a functor cannot vectorise) and the split
+// scan of core/traceback.hpp (each split k names the triangle (i, k, j)).
 #pragma once
 
 #include <cmath>
 #include <vector>
 
 #include "core/reference.hpp"
+#include "core/solve.hpp"
 #include "core/traceback.hpp"
 
 namespace cellnpdp::polygon {
@@ -59,7 +60,7 @@ inline NpdpInstance<double> triangulation_instance(
 
 /// Minimal-perimeter triangulation under an ExecutionContext (cancellation
 /// + deadline, tuning). On Cancelled `out` is left untouched and the
-/// partial tables are discarded.
+/// partial table is discarded.
 inline SolveStatus triangulate(const std::vector<Point>& pts,
                                const ExecutionContext& ctx,
                                TriangulationResult* out) {
@@ -68,21 +69,20 @@ inline SolveStatus triangulate(const std::vector<Point>& pts,
     return SolveStatus::Ok;
   }
   const auto inst = triangulation_instance(pts);
-  NpdpSolution<double> sol{
-      BlockedTriangularMatrix<double>(inst.n, ctx.tuning.block_side),
-      BlockedTriangularMatrix<double>(inst.n, ctx.tuning.block_side)};
-  const SolveStatus st = solve_blocked_with_argmin_into(sol, inst, ctx);
+  BlockedTriangularMatrix<double> table(inst.n, ctx.tuning.block_side);
+  const SolveStatus st = solve_blocked_into(table, inst, ctx);
   if (st != SolveStatus::Ok) return st;
-  out->cost = sol.values.at(0, inst.n - 1);
+  out->cost = table.at(0, inst.n - 1);
   out->triangles.clear();
-  visit_splits(sol, 0, inst.n - 1, [&](index_t i, index_t k, index_t j) {
-    out->triangles.push_back({i, k, j});
-  });
+  visit_splits(table, inst, 0, inst.n - 1,
+               [&](index_t i, index_t k, index_t j) {
+                 out->triangles.push_back({i, k, j});
+               });
   return SolveStatus::Ok;
 }
 
-/// Minimal-perimeter triangulation via the blocked engine (+ argmin
-/// traceback for the triangle list).
+/// Minimal-perimeter triangulation via the blocked engine (+ the split
+/// scan for the triangle list).
 inline TriangulationResult triangulate(const std::vector<Point>& pts,
                                        const NpdpOptions& opts) {
   TriangulationResult res;

@@ -50,7 +50,7 @@ FoldResult ZukerFolder::fold(const std::vector<Base>& seq) {
   FoldResult out;
   if (n_ == 0) return out;
   if (n_ == 1) {
-    out.structure = ".";
+    out.structure.assign(1, '.');
     return out;
   }
   stride_ = (n_ + kVecW - 1) / kVecW * kVecW;

@@ -32,7 +32,7 @@ struct FoldOptions {
   bool simd = true;        ///< vectorised bifurcations (false: scalar ablation)
   std::size_t threads = 1; ///< cells of one anti-diagonal computed in
                            ///< parallel (they are mutually independent)
-  CancelToken cancel;      ///< checked once per anti-diagonal; a tripped
+  CancelToken cancel{};    ///< checked once per anti-diagonal; a tripped
                            ///< token abandons the fold (result.cancelled)
 };
 

@@ -44,7 +44,8 @@ struct Capabilities {
   bool double_precision = false;  ///< engine family also instantiates for
                                   ///< double (through the C++ API)
   bool weighted = false;          ///< general mode: weight and/or k-terms
-  bool traceback = false;         ///< argmin recovery available
+  bool traceback = false;         ///< returns the solved table split_at
+                                  ///< (core/traceback.hpp) reads
   bool parallel = false;          ///< honours ExecutionContext tuning.threads
   bool cancellable = false;       ///< polls the cancel token mid-solve
   bool timing_model = false;      ///< simulated Cell timing, not host speed

@@ -19,9 +19,11 @@
 // A diagonal memory block runs tri: tri on each half, then rect on the
 // square between them with D1 = D2 = the block itself; its leaves are the
 // triangular tiles on the tile diagonal. The leaves take the kernel width
-// at compile time and work on local copies of their tiles. Argmin and
-// general k-term instances, which stage 1 also walks tile by tile, walk
-// stage 2's tiles in column-ascending / row-descending order instead.
+// at compile time and work on local copies of their tiles. Every mode runs
+// this one path: a general k-term instance, whose functor cannot
+// vectorise, takes a scalar block product of the same shape and folds the
+// functor's term into every candidate, leaves included. Optimal splits are
+// recovered afterwards from the solved table (core/traceback.hpp).
 #pragma once
 
 #include <algorithm>
@@ -174,20 +176,6 @@ class BlockEngine {
   index_t tiles_per_side() const { return tb_; }
   index_t kernel_width() const { return kern_.width; }
 
-  /// Attaches an argmin table (same geometry as the value matrix). Each
-  /// cell ends up holding, as a T, the k index whose relaxation produced
-  /// the final value, or -1 if the seed/init value survived. Must be
-  /// attached before the first compute_block(). Min-plus only: argmin
-  /// traceback over other semirings has no SIMD kernel (and no meaning
-  /// for counting).
-  void set_argmin(BlockedTriangularMatrix<T>* argm) {
-    if constexpr (S::id != SemiringId::MinPlus)
-      throw std::invalid_argument("argmin tracking requires min-plus");
-    if (argm->block_side() != bs_ || argm->size() != inst_->n)
-      throw std::invalid_argument("argmin matrix geometry mismatch");
-    argm_ = argm;
-  }
-
   /// Seeds memory block (bi,bj), then relaxes it. Every block it depends
   /// on — all (bi,k) and (k,bj) with bi <= k <= bj other than itself —
   /// must be final; the block's own prior contents are never read, so the
@@ -211,8 +199,8 @@ class BlockEngine {
     {
       CELLNPDP_TRACE_SPAN("middle", "middle", bi, bj);
       for (index_t mk = bi + 1; mk < bj; ++mk)
-        middle_pass(Cb, mat_->block(bi, mk), mat_->block(mk, bj),
-                    row0, mk * bs_, col0, st);
+        block_product(Cb, mat_->block(bi, mk), mat_->block(mk, bj), bs_, bs_,
+                      bs_, row0, mk * bs_, col0, st);
     }
     CELLNPDP_TRACE_SPAN("inner", "inner", bi, bj);
     (this->*inner_)(Cb, mat_->block(bi, bi), mat_->block(bj, bj),
@@ -223,16 +211,10 @@ class BlockEngine {
   /// Writes block (bi,bj)'s seed (see NpdpInstance): the semiring zero on
   /// padding and below-diagonal cells, init(i,i) on the diagonal, and off
   /// the diagonal init(i,j) with Fig. 1's k == i relaxation folded in —
-  /// or, in general mode, the zero. Resets its argmin block, when
-  /// attached, to -1.
+  /// or, in general mode, the zero.
   void seed_block(index_t bi, index_t bj) {
     T* Cb = mat_->block(bi, bj);
-    const index_t cells = bs_ * bs_;
-    std::fill(Cb, Cb + cells, S::zero());
-    if (argm_ != nullptr) {
-      T* Kb = argm_->data() + (Cb - mat_->data());
-      std::fill(Kb, Kb + cells, T(-1));
-    }
+    std::fill(Cb, Cb + bs_ * bs_, S::zero());
     const bool diag = bi == bj;
     if (general_ && !diag) return;
     const index_t n = inst_->n;
@@ -261,65 +243,6 @@ class BlockEngine {
     return base + rt * kern_.width * bs_ + ct * kern_.width;
   }
 
-  void run_kernel(T* C, const T* A, const T* B, index_t gi0, index_t gk0,
-                  index_t gj0, EngineStats* st) const {
-    if (st != nullptr) ++st->kernel_calls;
-    if (ktg_) {
-      generic_tile(C, A, B, gi0, gk0, gj0);
-      return;
-    }
-    if (argm_ != nullptr) {
-      // C and KC share the block offset: recover KC from the matrices.
-      T* KC = argm_->data() + (C - mat_->data());
-      if (!ku_.empty()) {
-        minplus_tile_scalar_arg(C, KC, bs_, A, bs_, B, bs_, kern_.width, gk0,
-                                ku_.data() + gi0, kv_.data() + gk0,
-                                kw_.data() + gj0);
-      } else {
-        kern_.arg(C, KC, bs_, A, bs_, B, bs_, gk0);
-      }
-      return;
-    }
-    if (!ku_.empty()) {
-      kern_.sep(C, bs_, A, bs_, B, bs_, ku_.data() + gi0, kv_.data() + gk0,
-                kw_.data() + gj0);
-    } else {
-      kern_.pure(C, bs_, A, bs_, B, bs_);
-    }
-  }
-
-  /// Scalar tile relaxation with the general per-(i,k,j) term; handles
-  /// argmin tracking. Functor calls are skipped for padded indices (the
-  /// operand there is the semiring zero, which annihilates the candidate).
-  void generic_tile(T* C, const T* A, const T* B, index_t gi0, index_t gk0,
-                    index_t gj0) const {
-    const index_t W = kern_.width;
-    const index_t n = inst_->n;
-    T* KC = argm_ != nullptr ? argm_->data() + (C - mat_->data()) : nullptr;
-    for (index_t r = 0; r < W; ++r) {
-      const index_t gi = gi0 + r;
-      for (index_t k = 0; k < W; ++k) {
-        const index_t gk = gk0 + k;
-        const T a = A[r * bs_ + k];
-        for (index_t c = 0; c < W; ++c) {
-          const index_t gj = gj0 + c;
-          if (gi >= n || gk >= n || gj >= n) continue;
-          const T cand = S::times(S::times(a, B[k * bs_ + c]),
-                                  inst_->kterm(gi, gk, gj));
-          T& dst = C[r * bs_ + c];
-          if constexpr (S::idempotent) {
-            if (S::improves(cand, dst)) {
-              dst = cand;
-              if (KC != nullptr) KC[r * bs_ + c] = T(gk);
-            }
-          } else {
-            dst = S::plus(dst, cand);
-          }
-        }
-      }
-    }
-  }
-
   /// C (+)= A (x) B over rows x depth x cols cells at row stride bs_: one
   /// block-product call. C's first cell is global (gi, gj); the product's
   /// first k is global gk.
@@ -330,35 +253,30 @@ class BlockEngine {
       const index_t W = kern_.width;
       st->kernel_calls += (rows / W) * (depth / W) * (cols / W);
     }
-    if (ku_.empty())
+    if (ktg_)
+      kterm_product(C, A, B, rows, depth, cols, gi, gk, gj);
+    else if (ku_.empty())
       kern_.block(C, A, B, rows, depth, cols, bs_);
     else
       kern_.block_sep(C, A, B, rows, depth, cols, bs_, ku_.data() + gi,
                       kv_.data() + gk, kw_.data() + gj);
   }
 
-  /// Stage 1: C = C (+) (A (x) B) for one middle block pair, a block
-  /// product with no ordering constraints. Pure and separable instances
-  /// make one block-product call; argmin and general k-term instances walk
-  /// the tile triples, which need per-tile k bases or a functor call.
-  void middle_pass(T* Cb, const T* Ab, const T* Bb, index_t row0, index_t k0,
-                   index_t col0, EngineStats* st) const {
-    if (!ktg_ && argm_ == nullptr) {
-      block_product(Cb, Ab, Bb, bs_, bs_, bs_, row0, k0, col0, st);
-      return;
-    }
-    const index_t W = kern_.width;
-    for (index_t rt = 0; rt < tb_; ++rt)
-      for (index_t kt = 0; kt < tb_; ++kt)
-        for (index_t ct = 0; ct < tb_; ++ct)
-          run_kernel(tile(Cb, rt, ct), tile(Ab, rt, kt), tile(Bb, kt, ct),
-                     row0 + rt * W, k0 + kt * W, col0 + ct * W, st);
+  /// block_product for a general k-term instance: scalar, one functor
+  /// call per relaxation, each cell's k ascending.
+  void kterm_product(T* C, const T* A, const T* B, index_t rows,
+                     index_t depth, index_t cols, index_t gi, index_t gk,
+                     index_t gj) const {
+    for (index_t r = 0; r < rows; ++r)
+      for (index_t k = 0; k < depth; ++k)
+        for (index_t c = 0; c < cols; ++c)
+          kterm_fold(C[r * bs_ + c], A[r * bs_ + k], B[k * bs_ + c], gi + r,
+                     gk + k, gj + c);
   }
 
-  /// How a stage-2 leaf folds a candidate into its cell. Pure and Sep
-  /// serve the recursion; Walk serves the tile walk of argmin and general
-  /// k-term instances.
-  enum class Fold { Pure, Sep, Walk };
+  /// How a stage-2 leaf folds a candidate into its cell: with no term,
+  /// the separable term or the general k-term.
+  enum class Fold { Pure, Sep, KTerm };
 
   /// Stage 2's view of one memory block: C, its diagonal blocks D1 and D2
   /// (all three the same block on the diagonal), C's first global row and
@@ -384,8 +302,8 @@ class BlockEngine {
     constexpr bool traced = false;
 #endif
     const Inner s{Cb, D1, D2, row0, col0, st, traced};
-    if (ktg_ || argm_ != nullptr)
-      walk<W>(s, diag);
+    if (ktg_)
+      recurse<W, Fold::KTerm>(s, diag);
     else if (ku_.empty())
       recurse<W, Fold::Pure>(s, diag);
     else
@@ -458,38 +376,6 @@ class BlockEngine {
                   (c1 - c0) * W, s.row0 + r0 * W, gk, s.col0 + c0 * W, s.st);
   }
 
-  /// Stage 2 tile by tile, for argmin and general k-term instances: tiles
-  /// column-ascending / row-descending, each folding in (a) k in D1's
-  /// tiles right of its row tile, (b) k in D2's tiles left of its column
-  /// tile, then its corner.
-  template <int W>
-  void walk(const Inner& s, bool diag) const {
-    for (index_t ct = 0; ct < tb_; ++ct) {
-      for (index_t rt = diag ? ct : tb_ - 1; rt >= 0; --rt) {
-        if (diag && rt == ct) {
-          diagonal_tile<W, Fold::Walk>(s, rt);
-          continue;
-        }
-        // (a) pairs with C tiles below this one in tile-column ct. For a
-        // diagonal block the range is clipped at ct: those are exactly
-        // its middle tiles.
-        const index_t a_end = diag ? ct : tb_;
-        for (index_t kt = rt + 1; kt < a_end; ++kt)
-          run_kernel(tile(s.C, rt, ct), tile(s.D1, rt, kt),
-                     tile(s.C, kt, ct), s.row0 + rt * W, s.row0 + kt * W,
-                     s.col0 + ct * W, s.st);
-        // (b) pairs with C tiles left of this one in tile-row rt. Empty
-        // for diagonal blocks (already covered by (a)).
-        if (!diag)
-          for (index_t kt = 0; kt < ct; ++kt)
-            run_kernel(tile(s.C, rt, ct), tile(s.C, rt, kt),
-                       tile(s.D2, kt, ct), s.row0 + rt * W, s.col0 + kt * W,
-                       s.col0 + ct * W, s.st);
-        corner<W, Fold::Walk>(s, rt, ct);
-      }
-    }
-  }
-
   template <int W>
   void load_tile(T (&dst)[W][W], const T* src) const {
     for (int r = 0; r < W; ++r)
@@ -523,7 +409,7 @@ class BlockEngine {
     load_tile<W>(b, tile(s.D2, ct, ct));
     const index_t gi0 = s.row0 + rt * W;
     const index_t gj0 = s.col0 + ct * W;
-    leaf_ops<F>(s, rt * W, ct * W, gi0, gj0, [&](auto&& fold, auto&& fin) {
+    leaf_ops<F>(gi0, gj0, [&](auto&& fold, auto&& fin) {
       detail::corner_leaf<W>(c, a, b, gi0, gj0, fold, fin);
     });
     store_tile<W>(Ct, c);
@@ -551,7 +437,7 @@ class BlockEngine {
     T* Ct = tile(s.C, t, t);
     load_tile<W>(c, Ct);
     const index_t g0 = s.row0 + t * W;
-    leaf_ops<F>(s, t * W, t * W, g0, g0, [&](auto&& fold, auto&& fin) {
+    leaf_ops<F>(g0, g0, [&](auto&& fold, auto&& fin) {
       detail::diagonal_leaf<W>(c, g0, fold, fin);
     });
     store_tile<W>(Ct, c);
@@ -561,35 +447,31 @@ class BlockEngine {
     }
   }
 
-  /// Calls leaf(fold, finish) with the leaf operations of F for the tile of
-  /// s.C at cell (r0, c0), global (gi0, gj0). A pure instance finishes a
+  /// Calls leaf(fold, finish) with the leaf operations of F for the tile
+  /// whose first cell is global (gi0, gj0). A pure instance finishes a
   /// cell with its folded value, so its leaves call nothing and keep their
   /// tiles in registers.
   template <Fold F, class Leaf>
-  void leaf_ops(const Inner& s, index_t r0, index_t c0, index_t gi0,
-                index_t gj0, Leaf&& leaf) const {
-    T karg = T(-2);
-    const auto fold_one = [&](T& acc, T x, T y, index_t gi, index_t gk,
-                              index_t gj) {
-      fold<F>(acc, karg, x, y, gi, gk, gj);
+  void leaf_ops(index_t gi0, index_t gj0, Leaf&& leaf) const {
+    const auto fold_one = [this](T& acc, T x, T y, index_t gi, index_t gk,
+                                 index_t gj) {
+      fold<F>(acc, x, y, gi, gk, gj);
     };
-    if (F != Fold::Walk && !general_) {
+    if (!general_) {
       leaf(fold_one, [](int, int, T, T acc) { return acc; });
       return;
     }
     leaf(fold_one, [&](int lr, int lc, T cur, T acc) {
-      return finalize_cell<F>(s.C, r0 + lr, c0 + lc, gi0 + lr, gj0 + lc, cur,
-                              acc, karg);
+      return finalize_cell(gi0 + lr, gj0 + lc, cur, acc);
     });
   }
 
   /// Folds the candidate x (x) y of (gi, gk, gj) into a leaf cell's running
   /// value. Pure and Sep relax with S::plus, which has no branch.
   template <Fold F>
-  void fold(T& acc, T& karg, T x, T y, index_t gi, index_t gk,
-            index_t gj) const {
-    if constexpr (F == Fold::Walk) {
-      walk_fold(acc, karg, x, y, gi, gk, gj);
+  void fold(T& acc, T x, T y, index_t gi, index_t gk, index_t gj) const {
+    if constexpr (F == Fold::KTerm) {
+      kterm_fold(acc, x, y, gi, gk, gj);
     } else {
       T cand = S::times(x, y);
       if constexpr (F == Fold::Sep)
@@ -598,58 +480,27 @@ class BlockEngine {
     }
   }
 
-  /// Walk's fold: applies the instance's k-terms and, with an argmin table
-  /// attached, keeps the improving k in karg (strict improvement: the
-  /// earliest winning k on ties). Like finalize_cell it stays out of line,
-  /// so the unrolled leaves of the rarer modes stay small.
-  [[gnu::noinline]] void walk_fold(T& acc, T& karg, T x, T y, index_t gi,
-                                   index_t gk, index_t gj) const {
-    T cand = S::times(x, y);
-    if (!ku_.empty()) cand = S::times(cand, ku_[gi] * kv_[gk] * kw_[gj]);
-    if (ktg_) {
-      const index_t n = inst_->n;
-      if (gi >= n || gk >= n || gj >= n) return;
-      cand = S::times(cand, inst_->kterm(gi, gk, gj));
-    }
-    if (S::idempotent && argm_ != nullptr) {
-      if (S::improves(cand, acc)) {
-        acc = cand;
-        karg = T(gk);
-      }
-      return;
-    }
-    acc = S::plus(acc, cand);
+  /// Folds (x (x) y) (x) kterm(gi, gk, gj) into acc. Padded indices are
+  /// skipped before the functor is called: their operand is the semiring
+  /// zero, and the functor may index arrays of length n. Like
+  /// finalize_cell it stays out of line, so the unrolled leaves of the
+  /// rarer modes stay small.
+  [[gnu::noinline]] void kterm_fold(T& acc, T x, T y, index_t gi, index_t gk,
+                                    index_t gj) const {
+    const index_t n = inst_->n;
+    if (gi >= n || gk >= n || gj >= n) return;
+    acc = S::plus(acc, S::times(S::times(x, y), inst_->kterm(gi, gk, gj)));
   }
 
-  /// The final value of cell (r, c) of block Cb, global (gi, gj), whose
-  /// leaf candidates folded to acc from its earlier value cur. karg is the
-  /// leaf's improving k, or -2 when the leaf did not improve on the stage
-  /// kernels' value; it is reset for the next cell.
-  template <Fold F>
-  [[gnu::noinline]] T finalize_cell(T* Cb, index_t r, index_t c, index_t gi,
-                                    index_t gj, T cur, T acc,
-                                    T& karg) const {
-    T* arg_cell = nullptr;
-    if constexpr (F == Fold::Walk) {
-      if (argm_ != nullptr) {
-        arg_cell = argm_->data() + (Cb - mat_->data()) + r * bs_ + c;
-        if (karg != T(-2)) *arg_cell = karg;
-      }
-      karg = T(-2);
-    }
-    if (!general_) return acc;
+  /// The final value of general-mode cell (gi, gj), whose leaf candidates
+  /// folded to acc from its earlier value cur.
+  [[gnu::noinline]] T finalize_cell(index_t gi, index_t gj, T cur,
+                                    T acc) const {
     const index_t n = inst_->n;
     if (gi >= n || gj >= n) return cur;  // padding stays the semiring zero
     const T init = inst_->init(gi, gj);
     const T w = inst_->weight ? inst_->weight(gi, gj) : S::one();
-    const T relaxed = S::times(w, acc);
-    if constexpr (S::idempotent) {
-      if (S::improves(relaxed, init)) return relaxed;
-      if (arg_cell != nullptr) *arg_cell = T(-1);  // the init survived
-      return init;
-    } else {
-      return S::plus(init, relaxed);
-    }
+    return S::plus(init, S::times(w, acc));
   }
 
   BlockedTriangularMatrix<T>* mat_;
@@ -659,7 +510,6 @@ class BlockEngine {
   CbKernel<T> kern_;
   bool general_;
   bool ktg_ = false;
-  BlockedTriangularMatrix<T>* argm_ = nullptr;
   aligned_vector<T> ku_, kv_, kw_;  // padded copies; empty when no k-term
   void (BlockEngine::*inner_)(T*, const T*, const T*, bool, index_t, index_t,
                               EngineStats*) const = nullptr;

@@ -53,9 +53,10 @@ struct NpdpInstance {
   const T* kw = nullptr;
 
   /// Optional *general* per-relaxation term g(i,k,j), for costs that do
-  /// not factor (e.g. polygon-triangulation triangle weights). Forces the
-  /// engine onto scalar tiles (functor calls cannot vectorise); mutually
-  /// exclusive with the separable term.
+  /// not factor (e.g. polygon-triangulation triangle weights). The engine
+  /// relaxes it with scalar block products (functor calls cannot
+  /// vectorise) and calls it only with indices below n; mutually exclusive
+  /// with the separable term.
   std::function<T(index_t, index_t, index_t)> kterm;
 
   /// General mode: seed +inf, finalize with min(init, weight + acc).

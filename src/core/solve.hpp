@@ -141,23 +141,6 @@ bool run_blocks(BlockScheduler& sched, BlockEngine<T, S>& engine,
   return complete;
 }
 
-/// Solves every block of the triangle on this process alone: every task
-/// owned, tuning.threads workers.
-template <class T, class S>
-SolveStatus solve_local(BlockEngine<T, S>& engine,
-                        BlockedTriangularMatrix<T>& mat,
-                        const ExecutionContext& ctx, bool checksums) {
-  const index_t ss = std::max<index_t>(1, ctx.tuning.sched_side);
-  BlockScheduler::Options o;
-  o.side = ceil_div(engine.blocks_per_side(), ss);
-  o.workers = ctx.tuning.threads;
-  BlockScheduler sched(o);
-  return run_blocks(sched, engine, mat, ctx, ss, checksums,
-                    [](index_t, index_t) {})
-             ? SolveStatus::Ok
-             : SolveStatus::Cancelled;
-}
-
 }  // namespace detail
 
 /// Blocked solve into a caller-owned matrix, which must already match the
@@ -176,7 +159,15 @@ SolveStatus solve_blocked_into(BlockedTriangularMatrix<T>& mat,
   CELLNPDP_TRACE_SPAN("solve", "solve_blocked");
   return with_semiring<T>(inst.semiring, [&](auto s) {
     BlockEngine<T, decltype(s)> engine(mat, inst, ctx.tuning);
-    return detail::solve_local(engine, mat, ctx, checksums);
+    const index_t ss = std::max<index_t>(1, ctx.tuning.sched_side);
+    BlockScheduler::Options o;
+    o.side = ceil_div(engine.blocks_per_side(), ss);
+    o.workers = ctx.tuning.threads;
+    BlockScheduler sched(o);
+    return detail::run_blocks(sched, engine, mat, ctx, ss, checksums,
+                              [](index_t, index_t) {})
+               ? SolveStatus::Ok
+               : SolveStatus::Cancelled;
   });
 }
 

@@ -9,13 +9,10 @@
 //
 // and by a semiring S (default min-plus): cb_kernel<T, S>(kind) returns
 // the bundle of S-specialised computing-block kernels, plus the strided
-// block products the engine runs stage 1 and stage 2's recursion on. The
-// argmin kernel exists only for min-plus (arg is null otherwise; the
-// engine guards it).
+// block products the engine runs stage 1 and stage 2's recursion on.
 #pragma once
 
 #include <string_view>
-#include <type_traits>
 
 #include "simd/kernels.hpp"
 #include "simd/semiring.hpp"
@@ -38,8 +35,6 @@ struct CbKernel {
   using PureFn = void (*)(T*, index_t, const T*, index_t, const T*, index_t);
   using SepFn = void (*)(T*, index_t, const T*, index_t, const T*, index_t,
                          const T*, const T*, const T*);
-  using ArgFn = void (*)(T*, T*, index_t, const T*, index_t, const T*,
-                         index_t, index_t);
   using BlockFn = void (*)(T*, const T*, const T*, index_t, index_t,
                            index_t, index_t);
   using BlockSepFn = void (*)(T*, const T*, const T*, index_t, index_t,
@@ -49,7 +44,6 @@ struct CbKernel {
   index_t width = 4;       ///< computing-block side in cells
   PureFn pure = nullptr;   ///< C = C (+) (A (x) B)
   SepFn sep = nullptr;     ///< with separable u*v*w factor
-  ArgFn arg = nullptr;     ///< pure relaxation + argmin-k (min-plus only)
   /// Pure block product (C, A, B, rows, depth, cols, ld): rows x cols of
   /// C at stride ld relaxed by rows x depth of A and depth x cols of B;
   /// every size a multiple of width.
@@ -71,16 +65,6 @@ CELLNPDP_NOVEC void scalar_sep_fixed(T* C, index_t sc, const T* A, index_t sa,
                                      const T* B, index_t sb, const T* u,
                                      const T* v, const T* w) {
   semiring_tile_scalar_sep<S, T>(C, sc, A, sa, B, sb, W, W, W, u, v, w);
-}
-
-template <class T, int W>
-CELLNPDP_NOVEC void scalar_arg_fixed(T* C, T* KC, index_t sc, const T* A,
-                                     index_t sa, const T* B, index_t sb,
-                                     index_t kbase) {
-  minplus_tile_scalar_arg<T>(C, KC, sc, A, sa, B, sb, W, kbase,
-                             static_cast<const T*>(nullptr),
-                             static_cast<const T*>(nullptr),
-                             static_cast<const T*>(nullptr));
 }
 
 template <class S, class T>
@@ -105,7 +89,6 @@ CELLNPDP_NOVEC void scalar_block_sep(T* C, const T* A, const T* B,
 /// Defaults to min-plus, which keeps every historical call site intact.
 template <class T, class S = MinPlusSemiring<T>>
 CbKernel<T> cb_kernel(KernelKind kind) {
-  constexpr bool minplus = std::is_same_v<S, MinPlusSemiring<T>>;
   CbKernel<T> k;
   k.kind = kind;
   switch (kind) {
@@ -113,7 +96,6 @@ CbKernel<T> cb_kernel(KernelKind kind) {
       k.width = 4;
       k.pure = &detail::scalar_pure_fixed<S, T, 4>;
       k.sep = &detail::scalar_sep_fixed<S, T, 4>;
-      if constexpr (minplus) k.arg = &detail::scalar_arg_fixed<T, 4>;
       k.block = &detail::scalar_block<S, T>;
       k.block_sep = &detail::scalar_block_sep<S, T>;
       break;
@@ -122,7 +104,6 @@ CbKernel<T> cb_kernel(KernelKind kind) {
       k.width = W;
       k.pure = &semiring_cb<S, T, W>;
       k.sep = &semiring_cb_sep<S, T, W>;
-      if constexpr (minplus) k.arg = &minplus_cb_arg<T, W>;
       k.block = &semiring_block<S, T, W>;
       k.block_sep = &semiring_block_sep<S, T, W>;
       break;
@@ -132,7 +113,6 @@ CbKernel<T> cb_kernel(KernelKind kind) {
       k.width = W;
       k.pure = &semiring_cb<S, T, W>;
       k.sep = &semiring_cb_sep<S, T, W>;
-      if constexpr (minplus) k.arg = &minplus_cb_arg<T, W>;
       k.block = &semiring_block<S, T, W>;
       k.block_sep = &semiring_block_sep<S, T, W>;
       break;

@@ -247,74 +247,6 @@ inline void minplus_cb_sep(T* C, index_t sc, const T* A, index_t sa,
   semiring_cb_sep<MinPlusSemiring<T>, T, W>(C, sc, A, sa, B, sb, u, v, w);
 }
 
-namespace detail {
-
-template <class T, int W, std::size_t... K>
-inline void minplus_row_arg(Vec<T, W>& c, Vec<T, W>& kc, Vec<T, W> a,
-                            const Vec<T, W>* b, T kbase,
-                            std::index_sequence<K...>) {
-  // For each k: cand = a[k] + B[k]; where cand improves, take it and
-  // remember k. k indices are stored in T lanes (exact below 2^24 for
-  // float, far beyond any practical n for double).
-  ((void)([&] {
-     const Vec<T, W> cand = Vec<T, W>::template splat<K>(a) + b[K];
-     const Vec<T, W> m = vlt(cand, c);
-     c = vblend(m, cand, c);
-     kc = vblend(m, Vec<T, W>::set1(kbase + T(K)), kc);
-   }()),
-   ...);
-}
-
-}  // namespace detail
-
-/// Argmin-tracking variant of minplus_cb: KC mirrors C and holds, for each
-/// cell, the global k index (as a T) of the relaxation that produced the
-/// current value, or whatever it held before if no candidate improved.
-/// `kbase` is the global index of B's first row. Min-plus only: traceback
-/// is defined for the optimisation semirings, and max-plus goes through
-/// the same engine with improves() flipped, not through this kernel.
-template <class T, int W>
-inline void minplus_cb_arg(T* C, T* KC, index_t sc, const T* A, index_t sa,
-                           const T* B, index_t sb, index_t kbase) {
-  using V = Vec<T, W>;
-  V b[W];
-  for (int k = 0; k < W; ++k) b[k] = V::load(B + k * sb);
-  for (int r = 0; r < W; ++r) {
-    V c = V::load(C + r * sc);
-    V kc = V::load(KC + r * sc);
-    const V a = V::load(A + r * sa);
-    detail::minplus_row_arg<T, W>(c, kc, a, b, T(kbase),
-                                  std::make_index_sequence<W>{});
-    c.store(C + r * sc);
-    kc.store(KC + r * sc);
-  }
-}
-
-/// Scalar argmin-tracking tile relaxation (runtime side); also handles the
-/// separable k-term when u/v/w are non-null.
-template <class T>
-CELLNPDP_NOVEC void minplus_tile_scalar_arg(T* C, T* KC, index_t sc,
-                                            const T* A, index_t sa,
-                                            const T* B, index_t sb,
-                                            index_t side, index_t kbase,
-                                            const T* u, const T* v,
-                                            const T* w) {
-  for (index_t r = 0; r < side; ++r)
-    for (index_t k = 0; k < side; ++k) {
-      const T avk = A[r * sa + k];
-      const T uv = u != nullptr ? u[r] * v[k] : T(0);
-      CELLNPDP_NOVEC_LOOP
-      for (index_t c = 0; c < side; ++c) {
-        T cand = avk + B[k * sb + c];
-        if (u != nullptr) cand += uv * w[c];
-        if (cand < C[r * sc + c]) {
-          C[r * sc + c] = cand;
-          KC[r * sc + c] = T(kbase + k);
-        }
-      }
-    }
-}
-
 /// Deliberately scalar relaxation of a rows x cols block of C by a
 /// rows x depth block of A and a depth x cols block of B, used by the
 /// "SIMD off" ablation and by the baselines. Never auto-vectorised.

@@ -43,9 +43,9 @@ NpdpInstance<float> pure_instance(index_t n, std::uint64_t seed = 11) {
 }
 
 /// An instance whose relaxations sleep, so a test can cancel mid-solve
-/// deterministically without huge tables. The kterm forces scalar tiles
-/// and is called O(n^3/6) times; ~1us each keeps the full solve in the
-/// tens of milliseconds.
+/// deterministically without huge tables. The kterm runs on scalar block
+/// products and is called O(n^3/6) times; ~1us each keeps the full solve
+/// in the tens of milliseconds.
 NpdpInstance<float> slow_instance(index_t n) {
   NpdpInstance<float> inst = pure_instance(n);
   inst.kterm = [](index_t, index_t, index_t) {

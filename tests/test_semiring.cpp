@@ -2,8 +2,8 @@
 // the blocked SIMD engine must match the semiring-generic scalar reference
 // element-for-element with NO tolerance, across block sizes, kernels,
 // thread counts, fault recovery, and instance modes (pure / weighted /
-// separable) — and solve a garbage-filled arena exactly as it solves a
-// fresh table.
+// separable / general k-term) — and solve a garbage-filled arena exactly
+// as it solves a fresh table.
 //
 // Bit-exactness across the blocked/SIMD reordering holds because:
 //   - min-plus / max-plus / viterbi-log are idempotent selections over
@@ -25,14 +25,16 @@
 #include "core/maxplus.hpp"
 #include "core/reference.hpp"
 #include "core/solve.hpp"
-#include "core/traceback.hpp"
 #include "layout/convert.hpp"
 #include "resilience/fault_injector.hpp"
 
 namespace cellnpdp {
 namespace {
 
-enum class Mode { Pure, Weighted, Separable };
+enum class Mode { Pure, Weighted, Separable, KTerm };
+
+constexpr Mode kModes[] = {Mode::Pure, Mode::Weighted, Mode::Separable,
+                           Mode::KTerm};
 
 constexpr SemiringId kAll[] = {SemiringId::MinPlus, SemiringId::MaxPlus,
                                SemiringId::Counting, SemiringId::ViterbiLog};
@@ -74,6 +76,17 @@ NpdpInstance<T> make_instance(SemiringId sr, Mode mode, index_t n,
     inst.ku = factors->data();
     inst.kv = factors->data() + n;
     inst.kw = factors->data() + 2 * n;
+  } else if (mode == Mode::KTerm) {
+    // An integer-valued term, so every candidate is exact: counting takes
+    // 1 or 2, the others 0..2 (negated for viterbi-log's log-probs).
+    inst.kterm = [sr](index_t i, index_t k, index_t j) {
+      const index_t x = i + 3 * k + 7 * j;
+      switch (sr) {
+        case SemiringId::Counting: return T(x % 11 == 0 ? 2 : 1);
+        case SemiringId::ViterbiLog: return T(-(x % 3));
+        default: return T(x % 3);
+      }
+    };
   }
   return inst;
 }
@@ -127,39 +140,53 @@ TEST(SemiringReference, MinPlusInstantiationMatchesLegacyReference) {
 }
 
 // The core property sweep: blocked SIMD engine == generic scalar
-// reference, for every semiring x mode x block size. Counting runs in
-// double at sizes where every intermediate is an exact integer (see the
-// header comment); the selection semirings sweep larger float tables.
-// Block side 4 gives counting three blocks per side, so its stage 1 runs,
-// and a block narrower than one register panel. Sides 12 and 20 give the
-// float kernels (W = 4) 3 and 5 tiles per block: odd counts, which stage
-// 2's recursion splits unevenly and down to a side one tile wide.
+// reference, for every semiring x mode x block size; general k-term
+// instances, whose scalar products take the same recursion, sweep every
+// kernel kind too. Counting runs in double at sizes where every
+// intermediate is an exact integer (see the header comment); the
+// selection semirings sweep larger float tables. Block side 4 gives
+// counting three blocks per side, so its stage 1 runs, and a block
+// narrower than one register panel. Sides 12 and 20 give the float kernels
+// (W = 4) 3 and 5 tiles per block: odd counts, which stage 2's recursion
+// splits unevenly and down to a side one tile wide.
 TEST(SemiringProperty, BlockedMatchesReferenceAcrossBlockSizes) {
   for (SemiringId sr : kAll) {
     const bool counting = sr == SemiringId::Counting;
-    for (Mode mode : {Mode::Pure, Mode::Weighted, Mode::Separable}) {
+    for (Mode mode : kModes) {
       for (index_t bs : {4, 8, 12, 16, 20, 24, 32}) {
-        NpdpOptions opts;
-        opts.block_side = bs;
-        if (counting) {
-          // Sizes chosen so the largest cell stays far below 2^53 (cell
-          // magnitude grows ~3-5 bits per span step depending on mode).
-          const index_t n = mode == Mode::Pure        ? 12
-                            : mode == Mode::Weighted  ? 10
-                                                      : 9;
-          std::vector<double> factors;
-          const auto inst =
-              make_instance<double>(sr, mode, n, 3, &factors);
-          const auto ref = solve_reference_any(inst);
-          const auto got = solve_blocked(inst, opts);
-          expect_identical(ref, to_triangular(got), "counting");
-        } else {
-          std::vector<float> factors;
-          const auto inst = make_instance<float>(sr, mode, 75, 3, &factors);
-          const auto ref = solve_reference_any(inst);
-          const auto got = solve_blocked(inst, opts);
-          expect_identical(ref, to_triangular(got),
-                           std::string(semiring_name(sr)).c_str());
+        for (KernelKind kind :
+             {KernelKind::Native, KernelKind::Scalar, KernelKind::Wide}) {
+          if (mode != Mode::KTerm && kind != KernelKind::Native) continue;
+          const index_t width = counting ? cb_kernel<double>(kind).width
+                                         : cb_kernel<float>(kind).width;
+          if (bs % width != 0) continue;
+          NpdpOptions opts;
+          opts.block_side = bs;
+          opts.kernel = kind;
+          const std::string what = std::string(semiring_name(sr)) + "/mode" +
+                                   std::to_string(static_cast<int>(mode)) +
+                                   "/bs" + std::to_string(bs) + "/" +
+                                   std::string(kernel_kind_name(kind));
+          if (counting) {
+            // Sizes chosen so the largest cell stays far below 2^53 (cell
+            // magnitude grows ~3-5 bits per span step depending on mode).
+            const index_t n = mode == Mode::Pure        ? 12
+                              : mode == Mode::Weighted  ? 10
+                                                        : 9;
+            std::vector<double> factors;
+            const auto inst =
+                make_instance<double>(sr, mode, n, 3, &factors);
+            const auto ref = solve_reference_any(inst);
+            const auto got = solve_blocked(inst, opts);
+            expect_identical(ref, to_triangular(got), what.c_str());
+          } else {
+            std::vector<float> factors;
+            const auto inst =
+                make_instance<float>(sr, mode, 75, 3, &factors);
+            const auto ref = solve_reference_any(inst);
+            const auto got = solve_blocked(inst, opts);
+            expect_identical(ref, to_triangular(got), what.c_str());
+          }
         }
       }
     }
@@ -323,7 +350,7 @@ void expect_dirty_arena_solves_fresh(const NpdpInstance<T>& inst,
 TEST(SemiringProperty, DirtyArenaSolvesLikeAFreshTable) {
   for (SemiringId sr : kAll) {
     const bool counting = sr == SemiringId::Counting;
-    for (Mode mode : {Mode::Pure, Mode::Weighted, Mode::Separable}) {
+    for (Mode mode : kModes) {
       for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
         for (bool checksums : {false, true}) {
           NpdpOptions opts;
@@ -349,36 +376,6 @@ TEST(SemiringProperty, DirtyArenaSolvesLikeAFreshTable) {
           }
         }
       }
-    }
-  }
-}
-
-// The argmin solve seeds its value and argmin blocks together: both tables
-// may start out as garbage.
-TEST(SemiringProperty, DirtyArgminTablesSolveLikeFreshOnes) {
-  for (Mode mode : {Mode::Pure, Mode::Weighted, Mode::Separable}) {
-    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      std::vector<float> factors;
-      const auto inst =
-          make_instance<float>(SemiringId::MinPlus, mode, 75, 3, &factors);
-      NpdpOptions opts;
-      opts.block_side = 16;
-      opts.threads = threads;
-      const auto fresh = solve_blocked_with_argmin(inst, opts);
-      NpdpSolution<float> dirty{
-          BlockedTriangularMatrix<float>(inst.n, opts.block_side),
-          BlockedTriangularMatrix<float>(inst.n, opts.block_side)};
-      fill_garbage(dirty.values, 5);
-      fill_garbage(dirty.argmin, 6);
-      ExecutionContext ctx;
-      ctx.tuning = opts;
-      ASSERT_EQ(solve_blocked_with_argmin_into(dirty, inst, ctx),
-                SolveStatus::Ok);
-      const std::string what = "mode" +
-                               std::to_string(static_cast<int>(mode)) + "/" +
-                               std::to_string(threads) + "t";
-      EXPECT_TRUE(same_bytes(fresh.values, dirty.values)) << what;
-      EXPECT_TRUE(same_bytes(fresh.argmin, dirty.argmin)) << what;
     }
   }
 }

@@ -146,8 +146,9 @@ TEST(AdmissionQueue, ShedHandlerMayRePushWithoutDeadlockOrRecursion) {
     shed.push_back(v);
     // Re-push the original victims; each re-push into the full queue
     // evicts another entry, so this would recurse without the backlog.
-    if (v < 100)
+    if (v < 100) {
       EXPECT_EQ(q.push(v + 100, 0), Admission::Admitted);
+    }
     --depth;
   });
   ASSERT_EQ(q.push(1, 0), Admission::Admitted);

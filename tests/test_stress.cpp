@@ -55,18 +55,18 @@ TEST(Fuzz, RandomGeometriesAndWorkloadsMatchGoldenModel) {
 }
 
 TEST(Fuzz, AllTiesStillProduceValidArgminCertificates) {
-  // Every off-diagonal cell equal: every k is an argmin; the recorded one
-  // must still certify the value.
+  // Every off-diagonal cell equal: the k == i self-term ties the seed, and
+  // no split beats it; the seed must win the tie.
   NpdpInstance<float> inst;
   inst.n = 48;
   inst.init = [](index_t i, index_t j) { return i == j ? 0.0f : 7.0f; };
   NpdpOptions opts;
   opts.block_side = 16;
-  const auto sol = solve_blocked_with_argmin(inst, opts);
+  const auto values = solve_blocked(inst, opts);
   for (index_t i = 0; i < 48; ++i)
     for (index_t j = i + 1; j < 48; ++j) {
-      EXPECT_EQ(sol.values.at(i, j), 7.0f);  // 7 can never be beaten (7+7>7)
-      EXPECT_EQ(sol.argmin_at(i, j), -1);
+      EXPECT_EQ(values.at(i, j), 7.0f);  // 7 can never be beaten (7+7>7)
+      EXPECT_EQ(split_at(values, inst, i, j), -1);
     }
 }
 
@@ -182,18 +182,6 @@ TEST(Validation, SingleCellInstance) {
   opts.block_side = 8;
   const auto out = solve_blocked(inst, opts);
   EXPECT_EQ(out.at(0, 0), 3.5f);
-}
-
-TEST(Validation, MismatchedArgminGeometryThrows) {
-  NpdpInstance<float> inst;
-  inst.n = 32;
-  inst.init = [](index_t, index_t) { return 1.0f; };
-  NpdpOptions opts;
-  opts.block_side = 16;
-  BlockedTriangularMatrix<float> values(32, 16);
-  BlockedTriangularMatrix<float> wrong(32, 8);
-  BlockEngine<float> engine(values, inst, opts);
-  EXPECT_THROW(engine.set_argmin(&wrong), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,16 +1,21 @@
-// Argmin tracking and traceback tests.
+// Split-scan traceback tests.
 //
 // The central property is the *certificate*: for every cell, either
-// argmin = -1 and the value equals what the seed/init produces, or
-// argmin = k and the value equals exactly the k-relaxation recomputed from
-// the final table. This is order-independent, so it holds for every kernel
-// and geometry even though different schedules may pick different
-// (equally-optimal) k on ties.
+// split_at = -1 and the value equals what the seed/init produces, or
+// split_at = k and the value equals exactly the k-relaxation recomputed
+// from the final table. This is order-independent, so it holds for every
+// kernel and geometry. With non-integer separable factors the kernels may
+// contract a candidate into a fused multiply-add where the scan does not,
+// so that case checks only that every split is in range and that the
+// tree's costs add back up to the root value.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "apps/matrix_chain/matrix_chain.hpp"
 #include "common/rng.hpp"
 #include "core/reference.hpp"
+#include "core/solve.hpp"
 #include "core/traceback.hpp"
 #include "layout/convert.hpp"
 
@@ -19,12 +24,12 @@ namespace {
 
 template <class T>
 void check_certificate(const NpdpInstance<T>& inst,
-                       const NpdpSolution<T>& sol) {
+                       const BlockedTriangularMatrix<T>& values) {
   const bool general = inst.general_mode();
   for (index_t i = 0; i < inst.n; ++i)
     for (index_t j = i + 1; j < inst.n; ++j) {
-      const T val = sol.values.at(i, j);
-      const index_t k = sol.argmin_at(i, j);
+      const T val = values.at(i, j);
+      const index_t k = split_at(values, inst, i, j);
       if (k < 0) {
         // The seed survived.
         T seed = inst.init(i, j);
@@ -37,8 +42,9 @@ void check_certificate(const NpdpInstance<T>& inst,
       }
       ASSERT_GT(k, i);
       ASSERT_LT(k, j);
-      T cand = sol.values.at(i, k) + sol.values.at(k, j);
+      T cand = values.at(i, k) + values.at(k, j);
       if (inst.ku != nullptr) cand += inst.ku[i] * inst.kv[k] * inst.kw[j];
+      if (inst.kterm) cand += inst.kterm(i, k, j);
       if (general && inst.weight) cand += inst.weight(i, j);
       EXPECT_EQ(val, cand) << "(" << i << "," << j << ") via k=" << k;
     }
@@ -62,12 +68,12 @@ TEST_P(ArgminTest, PureModeCertificateHolds) {
   NpdpOptions opts;
   opts.block_side = p.bs;
   opts.kernel = p.kernel;
-  const auto sol = solve_blocked_with_argmin(inst, opts);
+  const auto values = solve_blocked(inst, opts);
 
-  // Values must still be bit-exact vs the golden model.
+  // Values must be bit-exact vs the golden model.
   const auto ref = solve_reference(inst);
-  EXPECT_EQ(max_abs_diff(ref, to_triangular(sol.values)), 0.0);
-  check_certificate(inst, sol);
+  EXPECT_EQ(max_abs_diff(ref, to_triangular(values)), 0.0);
+  check_certificate(inst, values);
 }
 
 TEST_P(ArgminTest, WeightedModeCertificateHolds) {
@@ -81,10 +87,10 @@ TEST_P(ArgminTest, WeightedModeCertificateHolds) {
   NpdpOptions opts;
   opts.block_side = p.bs;
   opts.kernel = p.kernel;
-  const auto sol = solve_blocked_with_argmin(inst, opts);
+  const auto values = solve_blocked(inst, opts);
   const auto ref = solve_reference(inst);
-  EXPECT_EQ(max_abs_diff(ref, to_triangular(sol.values)), 0.0);
-  check_certificate(inst, sol);
+  EXPECT_EQ(max_abs_diff(ref, to_triangular(values)), 0.0);
+  check_certificate(inst, values);
 }
 
 TEST_P(ArgminTest, SeparableKTermCertificateHolds) {
@@ -108,10 +114,78 @@ TEST_P(ArgminTest, SeparableKTermCertificateHolds) {
   NpdpOptions opts;
   opts.block_side = p.bs;
   opts.kernel = p.kernel;
-  const auto sol = solve_blocked_with_argmin(inst, opts);
+  const auto values = solve_blocked(inst, opts);
   const auto ref = solve_reference(inst);
-  EXPECT_EQ(max_abs_diff(ref, to_triangular(sol.values)), 0.0);
-  check_certificate(inst, sol);
+  EXPECT_EQ(max_abs_diff(ref, to_triangular(values)), 0.0);
+  check_certificate(inst, values);
+}
+
+TEST_P(ArgminTest, GeneralKTermCertificateHolds) {
+  const auto& p = GetParam();
+  NpdpInstance<double> inst;
+  inst.n = p.n;
+  inst.init = [](index_t i, index_t j) {
+    return i == j ? 0.0 : random_init_value<double>(31, i, j);
+  };
+  std::vector<double> cost(static_cast<std::size_t>(p.n));
+  for (index_t x = 0; x < p.n; ++x)
+    cost[static_cast<std::size_t>(x)] = 0.25 * double(x % 7);
+  // at() throws on a padded index, which must never reach the functor.
+  inst.kterm = [&cost](index_t i, index_t k, index_t j) {
+    return cost.at(static_cast<std::size_t>(i)) +
+           2.0 * cost.at(static_cast<std::size_t>(k)) +
+           cost.at(static_cast<std::size_t>(j));
+  };
+  NpdpOptions opts;
+  opts.block_side = p.bs;
+  opts.kernel = p.kernel;
+  const auto values = solve_blocked(inst, opts);
+  const auto ref = solve_reference(inst);
+  EXPECT_EQ(max_abs_diff(ref, to_triangular(values)), 0.0);
+  check_certificate(inst, values);
+}
+
+TEST_P(ArgminTest, NonIntegerSeparableSplitsAddUpToTheRoot) {
+  const auto& p = GetParam();
+  NpdpInstance<float> inst;
+  inst.n = p.n;
+  inst.init = [](index_t i, index_t j) {
+    return j <= i + 1 ? 0.0f : minplus_identity<float>();
+  };
+  aligned_vector<float> u(static_cast<std::size_t>(p.n)),
+      v(static_cast<std::size_t>(p.n)), w(static_cast<std::size_t>(p.n));
+  SplitMix64 rng(6);
+  for (index_t i = 0; i < p.n; ++i) {
+    u[static_cast<std::size_t>(i)] = float(rng.next_in(0.3, 2.7));
+    v[static_cast<std::size_t>(i)] = float(rng.next_in(0.3, 2.7));
+    w[static_cast<std::size_t>(i)] = float(rng.next_in(0.3, 2.7));
+  }
+  inst.ku = u.data();
+  inst.kv = v.data();
+  inst.kw = w.data();
+  NpdpOptions opts;
+  opts.block_side = p.bs;
+  opts.kernel = p.kernel;
+  const auto values = solve_blocked(inst, opts);
+  for (index_t i = 0; i < inst.n; ++i)
+    for (index_t j = i + 1; j < inst.n; ++j) {
+      const index_t k = split_at(values, inst, i, j);
+      EXPECT_TRUE(k == -1 || (i < k && k < j))
+          << "(" << i << "," << j << ") -> " << k;
+    }
+  double total = 0;
+  index_t splits = 0;
+  visit_splits(values, inst, 0, inst.n - 1,
+               [&](index_t i, index_t k, index_t j) {
+                 total += double(u[static_cast<std::size_t>(i)]) *
+                          v[static_cast<std::size_t>(k)] *
+                          w[static_cast<std::size_t>(j)];
+                 ++splits;
+               });
+  // Every span of two or more boundaries splits: n - 2 products.
+  EXPECT_EQ(splits, inst.n - 2);
+  const double root = values.at(0, inst.n - 1);
+  EXPECT_NEAR(total, root, 1e-5 * root);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -134,16 +208,16 @@ TEST(Traceback, VisitSplitsReconstructsMatrixChainParenthesization) {
   const auto inst = matrix_chain_instance(p);
   NpdpOptions opts;
   opts.block_side = 8;
-  const auto sol = solve_blocked_with_argmin(inst, opts);
+  const auto values = solve_blocked(inst, opts);
 
-  EXPECT_EQ(sol.values.at(0, 6), 15125.0);
+  EXPECT_EQ(values.at(0, 6), 15125.0);
   // Root split at boundary 3; sub-splits 2 and 5.
-  EXPECT_EQ(sol.argmin_at(0, 6), 3);
-  EXPECT_EQ(sol.argmin_at(0, 3), 1);  // A0 | (A1 A2)
-  EXPECT_EQ(sol.argmin_at(3, 6), 5);
+  EXPECT_EQ(split_at(values, inst, 0, 6), 3);
+  EXPECT_EQ(split_at(values, inst, 0, 3), 1);  // A0 | (A1 A2)
+  EXPECT_EQ(split_at(values, inst, 3, 6), 5);
 
   index_t splits = 0;
-  visit_splits(sol, 0, 6, [&](index_t i, index_t k, index_t j) {
+  visit_splits(values, inst, 0, 6, [&](index_t i, index_t k, index_t j) {
     EXPECT_LT(i, k);
     EXPECT_LT(k, j);
     ++splits;
@@ -161,14 +235,25 @@ TEST(Traceback, SplitCostsAddUpForMatrixChain) {
   const auto inst = matrix_chain_instance(p);
   NpdpOptions opts;
   opts.block_side = 8;
-  const auto sol = solve_blocked_with_argmin(inst, opts);
+  const auto values = solve_blocked(inst, opts);
 
   double total = 0;
-  visit_splits(sol, 0, inst.n - 1, [&](index_t i, index_t k, index_t j) {
-    total += p[static_cast<std::size_t>(i)] * p[static_cast<std::size_t>(k)] *
-             p[static_cast<std::size_t>(j)];
-  });
-  EXPECT_NEAR(total, double(sol.values.at(0, inst.n - 1)), 1e-6);
+  visit_splits(values, inst, 0, inst.n - 1,
+               [&](index_t i, index_t k, index_t j) {
+                 total += p[static_cast<std::size_t>(i)] *
+                          p[static_cast<std::size_t>(k)] *
+                          p[static_cast<std::size_t>(j)];
+               });
+  EXPECT_NEAR(total, double(values.at(0, inst.n - 1)), 1e-6);
+}
+
+TEST(Traceback, ChainOfNoMatricesRendersNothing) {
+  // One boundary node: an empty chain has an empty parenthesization.
+  const std::vector<double> p{7};
+  NpdpOptions opts;
+  opts.block_side = 8;
+  EXPECT_EQ(solve_matrix_chain(p, opts).parenthesization, "");
+  EXPECT_EQ(solve_matrix_chain_reference(p).parenthesization, "");
 }
 
 TEST(Traceback, ParallelAgreesOnValuesEvenIfTiesDiffer) {
@@ -179,7 +264,7 @@ TEST(Traceback, ParallelAgreesOnValuesEvenIfTiesDiffer) {
   };
   NpdpOptions opts;
   opts.block_side = 16;
-  const auto serial = solve_blocked_with_argmin(inst, opts);
+  const auto serial = solve_blocked(inst, opts);
   check_certificate(inst, serial);
 }
 

@@ -8,7 +8,8 @@ BUILD_DIR=${BUILD_DIR:-build}
 JOBS=${JOBS:-$(nproc 2>/dev/null || echo 4)}
 
 echo "== configure =="
-cmake -B "$BUILD_DIR" -S .
+# Warnings are errors: the build is kept warning-free.
+cmake -B "$BUILD_DIR" -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 
 echo "== build =="
 cmake --build "$BUILD_DIR" -j "$JOBS"
@@ -302,22 +303,28 @@ for SR in min-plus max-plus counting viterbi-log; do
 done
 echo "dist: clean (3 peers x 4 semirings, all ranks bit-identical)"
 
-echo "== sanitizers (simd + layout + semiring + differential + serve + qos + taskgraph + cancel + resilience + net + router + dist + cli) =="
+echo "== sanitizers (simd + layout + semiring + differential + traceback + polygon + apps + serve + qos + taskgraph + cancel + resilience + net + router + dist + cli) =="
 # The concurrency-heavy suites rerun under ASan/UBSan in a separate tree;
 # the semiring property sweep and the backend differential matrix ride
 # along so every instantiation's kernel and solve paths get sanitized too,
 # the simd and layout suites cover the block product's tail panels and
-# the mapping table allocator, and the CLI flag parser is covered because
-# it reads input from outside.
+# the mapping table allocator, the traceback, polygon and apps suites
+# cover the split scan and the k-term product's padding skip (the polygon
+# functor indexes its point array with the engine's indices), and the CLI
+# flag parser is covered because it reads input from outside.
 ASAN_DIR=${ASAN_DIR:-build-asan}
 cmake -B "$ASAN_DIR" -S . -DCELLNPDP_SANITIZE=address,undefined
 cmake --build "$ASAN_DIR" -j "$JOBS" --target test_simd test_layout \
     test_serve test_qos test_taskgraph test_cancel test_resilience test_net \
-    test_router test_semiring test_differential test_dist test_cli
+    test_router test_semiring test_differential test_traceback test_polygon \
+    test_apps test_dist test_cli
 "$ASAN_DIR"/tests/test_simd
 "$ASAN_DIR"/tests/test_layout
 "$ASAN_DIR"/tests/test_semiring
 "$ASAN_DIR"/tests/test_differential
+"$ASAN_DIR"/tests/test_traceback
+"$ASAN_DIR"/tests/test_polygon
+"$ASAN_DIR"/tests/test_apps
 "$ASAN_DIR"/tests/test_serve
 "$ASAN_DIR"/tests/test_qos
 "$ASAN_DIR"/tests/test_taskgraph
