@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "core/reference.hpp"
@@ -40,20 +41,27 @@ inline double perimeter(const Point& a, const Point& b, const Point& c) {
   return dist(a, b) + dist(b, c) + dist(c, a);
 }
 
-/// Engine instance over the polygon's n vertices. The instance references
-/// `pts`; keep it alive for the solve.
+/// Engine instance over the polygon's n vertices. The edge lengths are
+/// computed once, into the upper triangle of an n x n table the k-term
+/// shares, so each relaxation is three loads.
 inline NpdpInstance<double> triangulation_instance(
     const std::vector<Point>& pts) {
   NpdpInstance<double> inst;
-  inst.n = static_cast<index_t>(pts.size());
+  const index_t n = static_cast<index_t>(pts.size());
+  inst.n = n;
   inst.init = [](index_t i, index_t j) {
     if (j <= i + 1) return 0.0;  // edges and vertices cost nothing
     return minplus_identity<double>();
   };
-  inst.kterm = [&pts](index_t i, index_t k, index_t j) {
-    return perimeter(pts[static_cast<std::size_t>(i)],
-                     pts[static_cast<std::size_t>(k)],
-                     pts[static_cast<std::size_t>(j)]);
+  const std::size_t side = pts.size();
+  auto len = std::make_shared<std::vector<double>>(side * side);
+  for (std::size_t i = 0; i < side; ++i)
+    for (std::size_t j = i + 1; j < side; ++j)
+      (*len)[i * side + j] = dist(pts[i], pts[j]);
+  // perimeter(p_i, p_k, p_j) summed in its own order; dist(p_j, p_i) is
+  // the (i, j) entry because hypot ignores the signs of its arguments.
+  inst.kterm = [len, e = len->data(), n](index_t i, index_t k, index_t j) {
+    return e[i * n + k] + e[k * n + j] + e[i * n + j];
   };
   return inst;
 }

@@ -6,6 +6,7 @@
 #include <mutex>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sstream>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -15,6 +16,7 @@
 #include "net/socket.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "resilience/circuit_breaker.hpp"
 
 namespace cellnpdp::net {
 
@@ -421,6 +423,44 @@ void EpollFrontEnd::note_bad_frame() {
   obs::metrics().counter(cname("frames_bad")).add();
 }
 
+void EpollFrontEnd::answer_control(
+    const ConnPtr& c, const FrameHeader& h,
+    const std::function<std::string()>& stats_json,
+    const std::function<std::int64_t()>& queue_depth) {
+  switch (h.type) {
+    case MsgType::Ping:
+      reply_now(c, encode_pong(h.id));
+      return;
+    case MsgType::Stats:
+      reply_now(c, encode_stats_text(h.id, stats_json()));
+      return;
+    case MsgType::StatsRequest: {
+      // The breaker board rides in every snapshot: the router's prober
+      // drains a replica whose board shows an open breaker.
+      WireStats ws;
+      ws.metrics = obs::metrics().snapshot();
+      for (const auto& row : resilience::breakers().snapshot()) {
+        WireBreaker b;
+        b.name = row.name;
+        b.state = static_cast<std::uint8_t>(row.state);
+        b.failure_rate = row.failure_rate;
+        b.retry_after_ms = row.retry_after_ms;
+        ws.breakers.push_back(std::move(b));
+      }
+      ws.queue_depth = queue_depth();
+      reply_now(c, encode_stats_response(h.id, ws));
+      return;
+    }
+    default:
+      note_bad_frame();
+      reply_now(c, encode_proto_error(
+                       h.id, ProtoErrorCode::UnknownType,
+                       "unknown message type " +
+                           std::to_string(static_cast<unsigned>(h.type))));
+      return;
+  }
+}
+
 void EpollFrontEnd::enqueue_out(const ConnPtr& c,
                                 std::vector<std::uint8_t> frame) {
   std::lock_guard lk(c->out_mu);
@@ -525,6 +565,27 @@ FrontEndStats EpollFrontEnd::stats() const {
   s.active_conns = static_cast<std::size_t>(
       std::max<std::int64_t>(0, active_conns_.load(std::memory_order_relaxed)));
   return s;
+}
+
+std::unique_ptr<EpollFrontEnd> start_stats_port(const std::string& host,
+                                                std::uint16_t port,
+                                                std::string* err) {
+  auto fe = std::make_unique<EpollFrontEnd>(
+      FrontEndOptions{.host = host, .port = port, .reactors = 1});
+  fe->set_frame_handler([self = fe.get()](const EpollFrontEnd::ConnPtr& c,
+                                          const FrameHeader& h,
+                                          const std::uint8_t*) {
+    self->answer_control(
+        c, h,
+        [] {
+          std::ostringstream os;
+          obs::metrics().write_json(os << "{\"metrics\":");
+          return os.str() + "}";
+        },
+        [] { return std::int64_t{0}; });
+  });
+  if (!fe->start(err)) return nullptr;
+  return fe;
 }
 
 }  // namespace cellnpdp::net

@@ -1,5 +1,6 @@
-// EpollFrontEnd: the reusable epoll TCP front-end shared by NpdpServer
-// and the router tier (src/router). It owns everything below the frame
+// EpollFrontEnd: the reusable epoll TCP front-end shared by NpdpServer,
+// the router tier (src/router) and the stats-only port of a process that
+// serves no requests (start_stats_port). It owns everything below the frame
 // boundary — accepting, reactor event loops, partial-frame reassembly,
 // header policy (magic / version range / size cap), the per-connection
 // outbox + eventfd wake for cross-thread replies, half-close drain, the
@@ -27,9 +28,11 @@
 //
 // Header-level protocol policy lives here: bad magic disconnects, an
 // unsupported version or an oversized payload gets a typed ProtoError and
-// a close-after-flush. Payload-level policy (decode failures, unknown
-// types) is the handler's job; it reports those via note_bad_frame() so
-// the front-end's counters stay the single source of truth.
+// a close-after-flush. Payload-level policy is the handler's job: it
+// reports a decode failure via note_bad_frame() so the front-end's
+// counters stay the single source of truth, and passes every frame that
+// is not one of its requests to answer_control(), so the control frames
+// and an unknown type get one answer on every host.
 #pragma once
 
 #include <atomic>
@@ -132,6 +135,15 @@ class EpollFrontEnd {
   /// stay authoritative. The error frame itself goes via reply_now().
   void note_bad_frame();
 
+  /// Answers a frame that is not one of the host's requests: Pong for
+  /// Ping, `stats_json()` for Stats, and for StatsRequest the registry
+  /// snapshot, the breaker board and `queue_depth()`; each hook runs only
+  /// for the frame that needs it. Any other type is a bad frame, answered
+  /// UnknownType with the connection kept open.
+  void answer_control(const ConnPtr& c, const FrameHeader& h,
+                      const std::function<std::string()>& stats_json,
+                      const std::function<std::int64_t()>& queue_depth);
+
  private:
   struct Reactor;
 
@@ -173,5 +185,13 @@ class EpollFrontEnd {
       protocol_errors_{0}, dropped_responses_{0};
   std::atomic<std::int64_t> active_conns_{0};
 };
+
+/// A one-reactor front end on host:port (0 = ephemeral) that answers only
+/// the control frames, with {"metrics": <registry>} as its JSON text and a
+/// queue depth of 0. Null with *err when the bind fails; destroying the
+/// result stops it.
+std::unique_ptr<EpollFrontEnd> start_stats_port(const std::string& host,
+                                                std::uint16_t port,
+                                                std::string* err);
 
 }  // namespace cellnpdp::net

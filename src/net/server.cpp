@@ -8,7 +8,6 @@
 #include "obs/metrics.hpp"
 #include "obs/request_log.hpp"
 #include "obs/trace.hpp"
-#include "resilience/circuit_breaker.hpp"
 
 namespace cellnpdp::net {
 
@@ -51,28 +50,6 @@ void NpdpServer::handle_frame(const EpollFrontEnd::ConnPtr& c,
                               const FrameHeader& h,
                               const std::uint8_t* payload) {
   switch (h.type) {
-    case MsgType::Ping:
-      fe_.reply_now(c, encode_pong(h.id));
-      return;
-    case MsgType::Stats:
-      fe_.reply_now(c, encode_stats_text(h.id, stats_json()));
-      return;
-    case MsgType::StatsRequest: {
-      WireStats ws;
-      ws.metrics = obs::metrics().snapshot();
-      for (const auto& row : resilience::breakers().snapshot()) {
-        WireBreaker b;
-        b.name = row.name;
-        b.state = static_cast<std::uint8_t>(row.state);
-        b.failure_rate = row.failure_rate;
-        b.retry_after_ms = row.retry_after_ms;
-        ws.breakers.push_back(std::move(b));
-      }
-      ws.queue_depth =
-          static_cast<std::int64_t>(service_.stats().queue_depth);
-      fe_.reply_now(c, encode_stats_response(h.id, ws));
-      return;
-    }
     case MsgType::Solve:
     case MsgType::Fold:
     case MsgType::Parse:
@@ -125,11 +102,9 @@ void NpdpServer::handle_frame(const EpollFrontEnd::ConnPtr& c,
       return;
     }
     default:
-      fe_.note_bad_frame();
-      fe_.reply_now(c, encode_proto_error(
-                           h.id, ProtoErrorCode::UnknownType,
-                           "unknown message type " +
-                               std::to_string(static_cast<unsigned>(h.type))));
+      fe_.answer_control(c, h, [this] { return stats_json(); }, [this] {
+        return static_cast<std::int64_t>(service_.stats().queue_depth);
+      });
       return;
   }
 }

@@ -6,7 +6,8 @@
 // is shared with the router tier. This class is the *host*: it supplies
 // the frame handler that decodes request payloads, submits them to the
 // SolveService, and encodes terminal responses back through the
-// front-end, plus the stats frames (JSON text and binary snapshot).
+// front-end. Every other frame goes to EpollFrontEnd::answer_control,
+// which asks this class only for its JSON text and its queue depth.
 //
 // Shutdown (stop(), also the SIGTERM path in the CLI) drains gracefully:
 // the front-end stops accepting, SolveService::stop(drain=true) answers

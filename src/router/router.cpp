@@ -14,7 +14,6 @@
 #include "net/socket.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "resilience/circuit_breaker.hpp"
 #include "serve/request.hpp"
 
 namespace cellnpdp::router {
@@ -147,30 +146,6 @@ void NpdpRouter::handle_frame(const EpollFrontEnd::ConnPtr& c,
                               const std::uint8_t* payload) {
   using net::MsgType;
   switch (h.type) {
-    case MsgType::Ping:
-      fe_.reply_now(c, net::encode_pong(h.id));
-      return;
-    case MsgType::Stats:
-      fe_.reply_now(c, net::encode_stats_text(h.id, stats_json()));
-      return;
-    case MsgType::StatsRequest: {
-      net::WireStats ws;
-      ws.metrics = obs::metrics().snapshot();
-      for (const auto& row : resilience::breakers().snapshot()) {
-        net::WireBreaker b;
-        b.name = row.name;
-        b.state = static_cast<std::uint8_t>(row.state);
-        b.failure_rate = row.failure_rate;
-        b.retry_after_ms = row.retry_after_ms;
-        ws.breakers.push_back(std::move(b));
-      }
-      {
-        std::lock_guard lk(pending_mu_);
-        ws.queue_depth = static_cast<std::int64_t>(pending_.size());
-      }
-      fe_.reply_now(c, net::encode_stats_response(h.id, ws));
-      return;
-    }
     case MsgType::Solve:
     case MsgType::Fold:
     case MsgType::Parse:
@@ -226,11 +201,12 @@ void NpdpRouter::handle_frame(const EpollFrontEnd::ConnPtr& c,
       return;
     }
     default:
-      fe_.note_bad_frame();
-      fe_.reply_now(c, net::encode_proto_error(
-                           h.id, net::ProtoErrorCode::UnknownType,
-                           "unknown message type " +
-                               std::to_string(static_cast<unsigned>(h.type))));
+      // The queue depth is read under pending_mu_, so only a StatsRequest
+      // pays for it.
+      fe_.answer_control(c, h, [this] { return stats_json(); }, [this] {
+        std::lock_guard lk(pending_mu_);
+        return static_cast<std::int64_t>(pending_.size());
+      });
       return;
   }
 }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <set>
@@ -25,8 +26,11 @@
 #include "net/protocol.hpp"
 #include "net/server.hpp"
 #include "net/socket.hpp"
+#include "obs/metrics.hpp"
 #include "obs/span_context.hpp"
 #include "obs/trace.hpp"
+#include "resilience/circuit_breaker.hpp"
+#include "router/router.hpp"
 #include "serve/solver_pool.hpp"
 
 namespace cellnpdp::net {
@@ -1497,6 +1501,141 @@ TEST(PeerFrames, RequestServerAnswersPeerFramesWithUnknownType) {
   EXPECT_EQ(rep.code, ProtoErrorCode::UnknownType);
   EXPECT_EQ(rep.id, 91u);
   ASSERT_EQ(cli.ping(92, 5000, &err), RecvStatus::Ok) << err;
+}
+
+// --- the control frames on every host --------------------------------------
+
+// net-serve, net-route and the stats-only port of a dist-solve peer answer
+// the control frames through one handler, so each must answer them alike.
+enum class ControlHost { Server, Router, StatsPort };
+
+struct ControlHostFixture {
+  explicit ControlHostFixture(ControlHost kind) {
+    std::string err;
+    if (kind == ControlHost::StatsPort) {
+      stats_port = start_stats_port("127.0.0.1", 0, &err);
+      EXPECT_NE(stats_port, nullptr) << err;
+      if (stats_port != nullptr) port = stats_port->port();
+      json_section = "metrics";
+      return;
+    }
+    server = std::make_unique<ServerFixture>();
+    port = server->server->port();
+    json_section = "serve";
+    if (kind == ControlHost::Router) {
+      router::RouterOptions ro;
+      ro.net.port = 0;
+      ro.replicas.push_back({"r1", "127.0.0.1", port});
+      router = std::make_unique<router::NpdpRouter>(ro);
+      EXPECT_TRUE(router->start(&err)) << err;
+      port = router->port();
+      json_section = "router";
+    }
+  }
+  NpdpClient connect() const {
+    NpdpClient c;
+    std::string err;
+    EXPECT_TRUE(c.connect("127.0.0.1", port, &err)) << err;
+    return c;
+  }
+  std::unique_ptr<ServerFixture> server;  ///< also the router's replica
+  std::unique_ptr<router::NpdpRouter> router;
+  std::unique_ptr<EpollFrontEnd> stats_port;
+  std::uint16_t port = 0;
+  std::string json_section;  ///< a top-level key of the host's Stats JSON
+};
+
+class ControlFrames : public ::testing::TestWithParam<ControlHost> {};
+
+TEST_P(ControlFrames, AnsweredAlikeOnEveryHost) {
+  ControlHostFixture fx(GetParam());
+  ASSERT_NE(fx.port, 0);
+  obs::metrics().counter("test.control_frames").add();
+  resilience::breakers().clear();
+  resilience::breakers().breaker("control-frames-test");
+  std::string err;
+  Reply rep;
+  {
+    NpdpClient first = fx.connect();
+    {
+      SCOPED_TRACE("Ping");
+      EXPECT_EQ(first.ping(1, 5000, &err), RecvStatus::Ok) << err;
+    }
+    {
+      SCOPED_TRACE("StatsRequest");
+      WireStats ws;
+      ASSERT_EQ(first.stats_snapshot(&ws, 5000, &err), RecvStatus::Ok) << err;
+      EXPECT_GE(ws.metrics.counter_or("test.control_frames", 0), 1);
+      EXPECT_TRUE(std::any_of(
+          ws.breakers.begin(), ws.breakers.end(),
+          [](const WireBreaker& b) { return b.name == "control-frames-test"; }));
+      EXPECT_GE(ws.queue_depth, 0);
+    }
+    {
+      SCOPED_TRACE("Stats");
+      std::string json;
+      ASSERT_EQ(first.stats(&json, 5000, &err), RecvStatus::Ok) << err;
+      JsonValue root;
+      ASSERT_TRUE(json_parse(json, root, &err)) << err << "\n" << json;
+      EXPECT_TRUE(root.has(fx.json_section)) << json;
+    }
+    {
+      SCOPED_TRACE("unknown type");
+      std::vector<std::uint8_t> frame;
+      encode_header(frame, static_cast<MsgType>(77), 41, 0);
+      ASSERT_TRUE(first.send_frame(frame, &err)) << err;
+      ASSERT_EQ(first.recv_reply(&rep, 5000, &err), RecvStatus::Ok) << err;
+      EXPECT_EQ(rep.kind, Reply::Kind::ProtoError);
+      EXPECT_EQ(rep.code, ProtoErrorCode::UnknownType);
+      EXPECT_EQ(rep.id, 41u);
+    }
+    {
+      SCOPED_TRACE("a second client while the first stays connected");
+      NpdpClient second = fx.connect();
+      EXPECT_EQ(second.ping(2, 2000, &err), RecvStatus::Ok) << err;
+      EXPECT_EQ(first.ping(3, 5000, &err), RecvStatus::Ok) << err;
+    }
+  }
+  {
+    SCOPED_TRACE("a header one version ahead");
+    NpdpClient ahead = fx.connect();
+    std::vector<std::uint8_t> frame;
+    encode_header(frame, MsgType::Ping, 5, 0, kVersion + 1);
+    ASSERT_TRUE(ahead.send_frame(frame, &err)) << err;
+    ASSERT_EQ(ahead.recv_reply(&rep, 5000, &err), RecvStatus::Ok) << err;
+    EXPECT_EQ(rep.kind, Reply::Kind::ProtoError);
+    EXPECT_EQ(rep.code, ProtoErrorCode::BadVersion);
+    EXPECT_EQ(ahead.recv_reply(&rep, 2000, &err), RecvStatus::Closed);
+  }
+  resilience::breakers().clear();
+}
+
+std::string host_name(const ::testing::TestParamInfo<ControlHost>& info) {
+  const char* const kNames[] = {"NpdpServer", "NpdpRouter", "StatsPort"};
+  return kNames[static_cast<int>(info.param)];
+}
+
+INSTANTIATE_TEST_SUITE_P(AllHosts, ControlFrames,
+                         ::testing::Values(ControlHost::Server,
+                                           ControlHost::Router,
+                                           ControlHost::StatsPort),
+                         host_name);
+
+TEST(StatsPort, StopsPromptlyWithAWatcherAttached) {
+  // dist-solve destroys its stats port on the way out, with any `npdp
+  // top` still connected; that must not hold the process up.
+  std::string err;
+  auto port = start_stats_port("127.0.0.1", 0, &err);
+  ASSERT_NE(port, nullptr) << err;
+  NpdpClient watcher;
+  ASSERT_TRUE(watcher.connect("127.0.0.1", port->port(), &err)) << err;
+  WireStats ws;
+  ASSERT_EQ(watcher.stats_snapshot(&ws, 5000, &err), RecvStatus::Ok) << err;
+  const auto t0 = std::chrono::steady_clock::now();
+  port.reset();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, milliseconds(1000));
+  Reply rep;
+  EXPECT_EQ(watcher.recv_reply(&rep, 2000, &err), RecvStatus::Closed);
 }
 
 TEST(NetLoadgen, PercentileInterpolates) {

@@ -2,6 +2,8 @@
 // the textbook DP and an exhaustive triangulation enumerator.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "apps/polygon/triangulation.hpp"
 #include "common/rng.hpp"
 
@@ -73,6 +75,34 @@ TEST(Polygon, TracebackProducesAValidTriangulation) {
                      pts[static_cast<std::size_t>(t.c)]);
   }
   EXPECT_NEAR(sum, r.cost, 1e-9);
+}
+
+TEST(Polygon, EdgeTableMatchesPerCallPerimeterBitForBit) {
+  // The instance reads each edge length from its table; recomputing the
+  // perimeter on every call must give the same table, byte for byte.
+  for (index_t n : {3, 17, 90, 200}) {
+    const auto pts =
+        random_convex_polygon(n, 40 + static_cast<std::uint64_t>(n));
+    const auto inst = triangulation_instance(pts);
+    auto per_call = inst;
+    per_call.kterm = [&pts](index_t i, index_t k, index_t j) {
+      return perimeter(pts[static_cast<std::size_t>(i)],
+                       pts[static_cast<std::size_t>(k)],
+                       pts[static_cast<std::size_t>(j)]);
+    };
+    NpdpOptions opts;
+    opts.block_side = 16;
+    opts.threads = 2;
+    const auto got = solve_blocked(inst, opts);
+    const auto want = solve_blocked(per_call, opts);
+    ASSERT_EQ(got.total_cells(), want.total_cells());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          static_cast<std::size_t>(got.total_cells()) *
+                              sizeof(double)),
+              0)
+        << "n=" << n;
+    EXPECT_EQ(triangulate(pts, opts).cost, want.at(0, n - 1)) << "n=" << n;
+  }
 }
 
 TEST(Polygon, GeneralAndSeparableKTermsAreMutuallyExclusive) {

@@ -40,7 +40,6 @@
 #include "common/stopwatch.hpp"
 #include "core/solve.hpp"
 #include "dist/in_process.hpp"
-#include "dist/stats_endpoint.hpp"
 #include "io/table_io.hpp"
 #include "model/perf_model.hpp"
 #include "net/client.hpp"
@@ -555,13 +554,15 @@ void print_stage_row(const char* label, const obs::MetricsSnapshot& snap,
               double(h->max) / 1e6, static_cast<long long>(h->count));
 }
 
-/// Live terminal view of a running net-serve: polls the binary
-/// StatsRequest/StatsResponse frame and renders rps (from counter
-/// deltas), per-stage latency quantiles, cache hit rate, shed/degrade
-/// counts, queue depth and breaker state. --prom switches the output to
-/// Prometheus text exposition (scrape-ready), --once exits after one
-/// poll. Counter deltas are monotone because the server snapshots the
-/// whole registry in one pass.
+/// Live terminal view of a running net-serve, net-route or dist-solve
+/// --stats-port: polls the binary StatsRequest/StatsResponse frame over
+/// one connection and renders rps (from counter deltas), per-stage
+/// latency quantiles, cache hit rate, shed/degrade counts, queue depth
+/// and breaker state; a host without serve metrics (net-route, a peer)
+/// gets its replies and an upstream row instead of the serve rows.
+/// --prom switches the output to Prometheus text exposition
+/// (scrape-ready), --once exits after one poll. Counter deltas are
+/// monotone because the host snapshots the whole registry in one pass.
 int cmd_top(cli::Flags& f) {
   std::string host = "127.0.0.1";
   std::uint16_t port = 9377;
@@ -609,14 +610,25 @@ int cmd_top(cli::Flags& f) {
       }
       obs::write_prometheus_text(std::cout, snap, extra);
     } else {
-      // Responded-request rate from serve.status.* counter deltas; the
-      // first poll has no baseline, so it reports totals since start.
-      std::int64_t responded = 0, responded_prev = 0;
-      for (const auto& [name, v] : snap.counters)
-        if (name.rfind("serve.status.", 0) == 0) responded += v;
-      if (have_prev)
-        for (const auto& [name, v] : prev.counters)
-          if (name.rfind("serve.status.", 0) == 0) responded_prev += v;
+      // Responded-request rate from counter deltas: serve.status.* on a
+      // serve host, router replies (forwarded and synthesized) on a host
+      // without serve metrics — a running SolveService always publishes
+      // the serve.queue_depth gauge. The first poll has no baseline, so it
+      // reports totals since start.
+      const bool serve_host = std::any_of(
+          snap.gauges.begin(), snap.gauges.end(),
+          [](const auto& g) { return g.first.rfind("serve.", 0) == 0; });
+      const auto responded_in = [serve_host](const obs::MetricsSnapshot& s) {
+        if (!serve_host)
+          return s.counter_or("router.replies", 0) +
+                 s.counter_or("router.synthesized", 0);
+        std::int64_t n = 0;
+        for (const auto& [name, v] : s.counters)
+          if (name.rfind("serve.status.", 0) == 0) n += v;
+        return n;
+      };
+      const std::int64_t responded = responded_in(snap);
+      const std::int64_t responded_prev = have_prev ? responded_in(prev) : 0;
       const double dt =
           have_prev
               ? std::chrono::duration<double>(now_t - prev_t).count()
@@ -639,22 +651,28 @@ int cmd_top(cli::Flags& f) {
       else
         std::printf("  responded %lld since start\n",
                     static_cast<long long>(responded));
-      print_stage_row("queue", snap, "serve.queue_ns");
-      print_stage_row("solve", snap, "serve.solve_ns");
-      print_stage_row("encode", snap, "net.encode_ns");
-      print_stage_row("total", snap, "serve.total_ns");
-      std::printf("  cache hit rate %.1f%% (%lld hits / %lld misses)\n",
-                  100.0 * hit_rate, static_cast<long long>(hits),
-                  static_cast<long long>(misses));
-      std::printf("  shed %lld  degraded %lld  retry-after %lld  "
-                  "queue depth %lld\n",
-                  static_cast<long long>(
-                      snap.counter_or("serve.status.shed", 0)),
-                  static_cast<long long>(
-                      snap.counter_or("serve.status.degraded", 0)),
-                  static_cast<long long>(
-                      snap.counter_or("serve.status.retry-after", 0)),
-                  static_cast<long long>(ws.queue_depth));
+      if (serve_host) {
+        print_stage_row("queue", snap, "serve.queue_ns");
+        print_stage_row("solve", snap, "serve.solve_ns");
+        print_stage_row("encode", snap, "net.encode_ns");
+        print_stage_row("total", snap, "serve.total_ns");
+        std::printf("  cache hit rate %.1f%% (%lld hits / %lld misses)\n",
+                    100.0 * hit_rate, static_cast<long long>(hits),
+                    static_cast<long long>(misses));
+        std::printf("  shed %lld  degraded %lld  retry-after %lld  "
+                    "queue depth %lld\n",
+                    static_cast<long long>(
+                        snap.counter_or("serve.status.shed", 0)),
+                    static_cast<long long>(
+                        snap.counter_or("serve.status.degraded", 0)),
+                    static_cast<long long>(
+                        snap.counter_or("serve.status.retry-after", 0)),
+                    static_cast<long long>(ws.queue_depth));
+      } else {
+        print_stage_row("upstream", snap, "router.upstream_ns");
+        std::printf("  queue depth %lld\n",
+                    static_cast<long long>(ws.queue_depth));
+      }
       // Per-tenant QoS rows, assembled from the labeled serve.tenant.*
       // metrics (registry names carry a "{tenant=NAME}" suffix). Only
       // printed when the server is actually running with tenancy.
@@ -1561,16 +1579,17 @@ int cmd_dist_solve(cli::Flags& f) {
 
   // Optional ordinary-protocol stats port so `npdp top` can watch the
   // net.peer.* counters of a live peer.
-  dist::StatsEndpoint stats_ep;
+  std::unique_ptr<net::EpollFrontEnd> stats_fe;
   if (stats_port) {
     std::string err;
-    if (!stats_ep.start("127.0.0.1", *stats_port, &err)) {
+    stats_fe = net::start_stats_port("127.0.0.1", *stats_port, &err);
+    if (stats_fe == nullptr) {
       std::fprintf(stderr, "dist-solve: --stats-port: %s\n", err.c_str());
       return 1;
     }
     std::printf("rank %u stats on 127.0.0.1:%u\n", rank,
-                unsigned(stats_ep.port()));
-    if (!write_port_file(port_file, stats_ep.port(), "dist-solve")) return 1;
+                unsigned(stats_fe->port()));
+    if (!write_port_file(port_file, stats_fe->port(), "dist-solve")) return 1;
   }
 
   BlockedTriangularMatrix<float> mat(inst.n, opts.tuning.block_side,
@@ -1627,7 +1646,7 @@ const Command kCommands[] = {
     {"net-serve", cmd_net_serve, "TCP front-end over the solve service"},
     {"net-route", cmd_net_route, "consistent-hash router over net-serve"},
     {"net-bench", cmd_net_bench, "network load generator"},
-    {"top", cmd_top, "live stats of a running net-serve or dist-solve peer"},
+    {"top", cmd_top, "live stats of a net-serve, net-route or dist-solve peer"},
 };
 
 /// Every subcommand with the flags it declares.
