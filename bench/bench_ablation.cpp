@@ -2,8 +2,11 @@
 //   (1) scheduling-block size (task-scheduling overhead vs parallel slack);
 //   (2) register caching in the computing-block kernel (80 vs 128 instrs);
 //   (3) 128-bit vs 256-bit kernels on the host CPU;
-//   (4) simplified (left+below) dependence graph vs full-graph release
-//       timing — measured as simulated makespan with forced serial chains.
+//   (4) prefetch depth / double buffering in the simulated SPEs;
+//   (5) split-traceback overhead of recovering optimal splits;
+//   (6) the task queue vs barrier wavefronts (simulated);
+//   (7) the semiring instantiations against the hand-written (min,+)
+//       kernel.
 #include <algorithm>
 #include <cstdio>
 #include <string>

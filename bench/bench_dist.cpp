@@ -10,7 +10,8 @@
 // Loopback wall time is not the simulator's target (the model prices an
 // IB-like network, not the kernel's localhost), so the load-bearing
 // comparison is communication VOLUME: measured wire bytes must land
-// within 10% of the simulator's broadcast prediction.
+// within 1% of the simulator's broadcast prediction, as the peers send
+// one frame per block per receiver.
 #include <cstdio>
 #include <cstring>
 
@@ -107,7 +108,7 @@ void run(const BenchConfig& cfg, BenchJson& json) {
       "\n(predicted columns price an IB-like network in the discrete-event "
       "model; measured columns are real frames over loopback TCP — the "
       "columns to compare are the comm volumes, which must agree within "
-      "10%%)\n");
+      "1%%)\n");
 }
 
 }  // namespace

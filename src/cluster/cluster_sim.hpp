@@ -7,10 +7,16 @@
 // modelled links.
 //
 // Each node is a multicore machine running the tier-1 block procedure (the
-// same work model as the Cell/CPU engines); the discrete-event core,
-// dependence graph and bandwidth-reservation models are shared with
-// src/cellsim. Functional mode executes the real BlockEngine in simulated
-// event order, so distributed runs are checkable bit-for-bit.
+// same work model as the Cell/CPU engines); the discrete-event core and
+// bandwidth-reservation models are shared with src/cellsim. Readiness is
+// the rule cellsim, the host scheduler and the real peers (src/dist) run:
+// each node has a BlockTracker and starts a block it owns once the
+// block's full input set is visible on that node. A computed block
+// finishes on its owner at once and on every other node when its
+// broadcast lands, in one event per block; the run ends when the last
+// block is visible everywhere, as a peer's solve does. Functional mode
+// executes the real BlockEngine in simulated event order, so distributed
+// runs are checkable bit-for-bit.
 #pragma once
 
 #include <algorithm>
@@ -26,7 +32,7 @@
 #include "cellsim/work_model.hpp"
 #include "core/engine.hpp"
 #include "core/instance.hpp"
-#include "taskgraph/dependence_graph.hpp"
+#include "taskgraph/block_scheduler.hpp"
 
 namespace cellnpdp {
 
@@ -90,10 +96,6 @@ ClusterSimResult simulate_cluster_npdp(
     return cycles / cfg.clock_hz;
   };
 
-  auto owner = [&](index_t, index_t bj) {
-    return static_cast<int>(bj % cfg.nodes);
-  };
-
   // Broadcast time occupying the sender's NIC, after which the block is
   // visible on every node.
   auto broadcast_seconds = [&]() {
@@ -116,35 +118,31 @@ ClusterSimResult simulate_cluster_npdp(
     nics.emplace_back(cfg.link_bandwidth, cfg.link_latency);
 
   struct Node {
+    BlockTracker tracker;
     int free_cores = 0;
     std::deque<index_t> ready;  // block ids ready to compute here
     double busy_seconds = 0.0;
   };
-  std::vector<Node> nodes(static_cast<std::size_t>(cfg.nodes));
-  for (auto& nd : nodes) nd.free_cores = cfg.cores_per_node;
+  std::vector<Node> nodes;
+  nodes.reserve(static_cast<std::size_t>(cfg.nodes));
+  for (int p = 0; p < cfg.nodes; ++p) {
+    BlockTracker t(m, static_cast<std::uint32_t>(cfg.nodes),
+                   static_cast<std::uint32_t>(p));
+    const std::vector<index_t> diag = t.initial_ready();
+    nodes.push_back(
+        {std::move(t), cfg.cores_per_node, {diag.begin(), diag.end()}, 0.0});
+  }
 
   ClusterSimResult res;
   res.blocks = graph.task_count();
 
-  // A block becomes runnable on its owner once both simplified-graph
-  // predecessors are *visible there*: immediately for a predecessor that
-  // lives on the same node (the same-column one), at broadcast arrival for
-  // a remote one.
-  std::vector<int> waiting(static_cast<std::size_t>(graph.task_count()));
-  for (index_t id = 0; id < graph.task_count(); ++id) {
-    const auto [bi, bj] = graph.coords(id);
-    waiting[static_cast<std::size_t>(id)] = graph.dependency_count(bi, bj);
-  }
-
   std::function<void(int)> pump;
 
-  auto notify = [&](index_t dep_id) {
-    if (--waiting[static_cast<std::size_t>(dep_id)] == 0) {
-      const auto [bi, bj] = graph.coords(dep_id);
-      const int o = owner(bi, bj);
-      nodes[static_cast<std::size_t>(o)].ready.push_back(dep_id);
-      pump(o);
-    }
+  // Block (bi,bj) became visible on node p.
+  auto finish_on = [&](int p, index_t bi, index_t bj) {
+    Node& nd = nodes[static_cast<std::size_t>(p)];
+    nd.tracker.finish(bi, bj, [&](index_t id) { nd.ready.push_back(id); });
+    pump(p);
   };
 
   pump = [&](int p) {
@@ -155,40 +153,29 @@ ClusterSimResult simulate_cluster_npdp(
       --nd.free_cores;
       const auto [bi, bj] = graph.coords(id);
       const double cs = compute_seconds(bi, bj);
-      q.after(cs, [&, p, id, bi, bj, cs] {
+      q.after(cs, [&, p, bi, bj, cs] {
         Node& me = nodes[static_cast<std::size_t>(p)];
         me.busy_seconds += cs;
         ++me.free_cores;
         if (engine) engine->compute_block(bi, bj);
         // Broadcast to the other nodes; the block is visible locally now
-        // and remotely when the NIC transfer lands.
-        double remote_visible = q.now();
+        // and, in one event, on every other node when the NIC transfer
+        // lands.
         if (cfg.nodes > 1) {
           const double done = nics[static_cast<std::size_t>(p)].transfer(
               q.now(), block_bytes * (cfg.nodes - 1), cfg.nodes - 1);
           res.comm_bytes += block_bytes * (cfg.nodes - 1);
           res.messages += static_cast<index_t>(cfg.nodes - 1);
-          remote_visible = std::max(done, q.now() + broadcast_seconds());
+          q.at(std::max(done, q.now() + broadcast_seconds()), [&, p, bi, bj] {
+            for (int r = 0; r < cfg.nodes; ++r)
+              if (r != p) finish_on(r, bi, bj);
+          });
         }
-        for (const auto& [di, dj] : graph.dependents(bi, bj)) {
-          const index_t dep_id = graph.task_id(di, dj);
-          if (owner(di, dj) == p) {
-            notify(dep_id);
-          } else {
-            q.at(remote_visible, [&, dep_id] { notify(dep_id); });
-          }
-        }
-        pump(p);
+        finish_on(p, bi, bj);
       });
     }
   };
 
-  // Seed: the diagonal blocks are initially ready on their owners.
-  for (index_t id = 0; id < graph.task_count(); ++id) {
-    if (waiting[static_cast<std::size_t>(id)] != 0) continue;
-    const auto [bi, bj] = graph.coords(id);
-    nodes[static_cast<std::size_t>(owner(bi, bj))].ready.push_back(id);
-  }
   q.after(0.0, [&] {
     for (int p = 0; p < cfg.nodes; ++p) pump(p);
   });

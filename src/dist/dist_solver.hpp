@@ -1,14 +1,15 @@
 // The distributed blocked solve: every peer runs this same driver over
 // its own full-size BlockedTriangularMatrix, computes the block columns
 // it owns (bj mod P == rank, matching cluster_sim's placement), and
-// broadcasts each finished block to every other peer as a BlockAnnounce
-// + BlockData pair. Received blocks are checksum-verified and memcpy'd
-// into the local slab, so every peer ends the solve holding the complete
-// assembled matrix — bit-identical to the single-process solve, because
-// an owned block is only relaxed once its full input set is final and
-// remote blocks are exact byte copies of the bytes their owner computed.
-// A peer seeds only the blocks it owns, each as the first step of
-// computing it, so its workers and its receivers never write the same
+// broadcasts each finished block to every other peer as one BlockData
+// frame. A received block is checked (inside the triangle, sent by its
+// column's owner, FNV-1a over the received bytes, not seen before) and
+// memcpy'd into the local slab, so every peer ends the solve holding the
+// complete assembled matrix — bit-identical to the single-process solve,
+// because an owned block is only relaxed once its full input set is final
+// and remote blocks are exact byte copies of the bytes their owner
+// computed. A peer seeds only the blocks it owns, each as the first step
+// of computing it, so its workers and its receivers never write the same
 // slab region and no seeding pass has to finish before receiving starts.
 //
 // The schedule is the one block scheduler (taskgraph/block_scheduler.hpp)
@@ -18,11 +19,9 @@
 // antidiagonal barrier, so a peer's compute overlaps other peers'
 // compute and the wire transfer of finished blocks. tuning.threads
 // workers (the calling thread is worker 0) run the per-block step, whose
-// on-finished hook broadcasts the block; the announce and data of one
-// block leave from one worker, so Announce precedes Data on every
-// connection (PeerGroup sends are per-connection serialised). PeerDone
-// follows once every block is visible, so it comes after the last owned
-// block everywhere.
+// on-finished hook broadcasts the block (PeerGroup sends are
+// per-connection serialised). PeerDone follows once every block is
+// visible, so it comes after the last owned block everywhere.
 //
 // Failure: a peer dying mid-solve surfaces as a receiver error or a send
 // failure, which fails the scheduler run, and the solve throws DistError
@@ -39,7 +38,6 @@
 #include <condition_variable>
 #include <cstring>
 #include <exception>
-#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -100,8 +98,7 @@ class PeerSolveRun {
         engine_(mat, inst, opts.tuning),
         sched_(plan(mat.blocks_per_side(), group, opts)),
         received_(static_cast<std::size_t>(
-            sched_.tracker().graph().task_count())),
-        pending_announce_(group.nranks()) {}
+            sched_.tracker().graph().task_count())) {}
 
   SolveStatus run() {
     Stopwatch sw;
@@ -219,14 +216,9 @@ class PeerSolveRun {
     const std::uint64_t sum = fnv1a(blk, bytes);
     const auto id =
         static_cast<std::uint64_t>(sched_.tracker().graph().task_id(bi, bj));
-    BlockAnnounce a;
-    a.bi = static_cast<std::uint32_t>(bi);
-    a.bj = static_cast<std::uint32_t>(bj);
-    a.bytes = static_cast<std::uint32_t>(bytes);
-    a.checksum = sum;
-    group_.send_to_all(encode_block_announce(id, a));
-    group_.send_to_all(encode_block_data(
-        id, a.bi, a.bj, sum, blk, bytes));
+    group_.send_to_all(encode_block_data(id, static_cast<std::uint32_t>(bi),
+                                         static_cast<std::uint32_t>(bj), sum,
+                                         blk, bytes));
     obs::metrics()
         .counter("net.peer.blocks_sent")
         .add(static_cast<std::int64_t>(group_.nranks() - 1));
@@ -238,24 +230,6 @@ class PeerSolveRun {
                 const std::uint8_t* payload, std::size_t len) {
     std::string err;
     switch (h.type) {
-      case net::MsgType::BlockAnnounce: {
-        BlockAnnounce a;
-        if (!decode_block_announce(h.version, payload, len, &a, &err))
-          throw DistError("bad BlockAnnounce: " + err);
-        validate_remote_coords(src, a.bi, a.bj);
-        if (a.bytes != static_cast<std::uint32_t>(mat_.block_bytes()))
-          throw DistError("BlockAnnounce for (" + std::to_string(a.bi) +
-                          "," + std::to_string(a.bj) + ") announces " +
-                          std::to_string(a.bytes) + " bytes, expected " +
-                          std::to_string(mat_.block_bytes()));
-        auto& pending = pending_announce_[src];
-        const index_t id = sched_.tracker().graph().task_id(a.bi, a.bj);
-        if (!pending.emplace(id, a).second)
-          throw DistError("duplicate BlockAnnounce for (" +
-                          std::to_string(a.bi) + "," + std::to_string(a.bj) +
-                          ")");
-        return;
-      }
       case net::MsgType::BlockData: {
         BlockDataView v;
         if (!decode_block_data(h.version, payload, len,
@@ -263,15 +237,7 @@ class PeerSolveRun {
                                &v, &err))
           throw DistError("bad BlockData: " + err);
         validate_remote_coords(src, v.bi, v.bj);
-        auto& pending = pending_announce_[src];
         const index_t id = sched_.tracker().graph().task_id(v.bi, v.bj);
-        const auto it = pending.find(id);
-        if (it == pending.end())
-          throw DistError("BlockData for (" + std::to_string(v.bi) + "," +
-                          std::to_string(v.bj) + ") without announce");
-        if (it->second.checksum != v.checksum)
-          throw DistError("BlockData checksum does not match its announce");
-        pending.erase(it);
         if (fnv1a(v.data, v.len) != v.checksum)
           throw DistError("BlockData for (" + std::to_string(v.bi) + "," +
                           std::to_string(v.bj) + ") failed its checksum");
@@ -335,11 +301,8 @@ class PeerSolveRun {
   BlockEngine<T, S> engine_;
   BlockScheduler sched_;
 
-  // Receiver-side state. `received_` is the cross-thread dedup guard
-  // (atomic per block); `pending_announce_[rank]` is only ever touched by
-  // that rank's receiver thread.
+  // Receiver-side state: the cross-thread dedup guard (atomic per block).
   std::vector<std::atomic<std::uint8_t>> received_;
-  std::vector<std::map<index_t, BlockAnnounce>> pending_announce_;
 
   // PeerDone count and the first receiver error, for await_peers().
   std::mutex mu_;

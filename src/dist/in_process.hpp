@@ -3,8 +3,9 @@
 // its own PeerGroup over real loopback sockets. This is the harness the
 // `distributed` backend, test_dist, and bench_dist share — the wire
 // path, handshakes, checksums, and dependence tracking are exactly the
-// multi-process ones; only process isolation is skipped (verify.sh's
-// dist phase covers the true multi-process form via `npdp dist-solve`).
+// multi-process ones; only process isolation is skipped (ctest's
+// smoke_npdp_dist_plane covers the true multi-process form via
+// `npdp dist-solve`).
 //
 // All listeners are bound (port 0 → ephemeral) before any peer thread
 // starts, so every rank knows every port and the mesh comes up without

@@ -47,7 +47,9 @@ PeerGroup::PeerGroup(std::uint32_t rank, std::vector<PeerEndpoint> endpoints,
       endpoints_(std::move(endpoints)),
       opts_(opts),
       conns_(endpoints_.size()),
-      hellos_(endpoints_.size()) {
+      hellos_(endpoints_.size()),
+      tx_bytes_(obs::metrics().counter("net.peer.bytes_sent")),
+      rx_bytes_(obs::metrics().counter("net.peer.bytes_received")) {
   if (endpoints_.size() < 2)
     throw DistError("peer group needs at least 2 endpoints");
   if (rank_ >= endpoints_.size())
@@ -257,7 +259,6 @@ void PeerGroup::start_receiving(FrameHandler on_frame, ErrorHandler on_error) {
 
 void PeerGroup::receiver_loop(std::uint32_t peer, FrameHandler on_frame,
                               ErrorHandler on_error) {
-  auto& rx_bytes = obs::metrics().counter("net.peer.bytes_received");
   std::vector<std::uint8_t> buf;
   std::string err;
   while (true) {
@@ -275,7 +276,7 @@ void PeerGroup::receiver_loop(std::uint32_t peer, FrameHandler on_frame,
     }
     bytes_received_.fetch_add(net::kHeaderSize + h.len,
                               std::memory_order_relaxed);
-    rx_bytes.add(static_cast<std::int64_t>(net::kHeaderSize + h.len));
+    rx_bytes_.add(static_cast<std::int64_t>(net::kHeaderSize + h.len));
     try {
       on_frame(peer, h, buf.data() + net::kHeaderSize, h.len);
     } catch (const std::exception& e) {
@@ -297,9 +298,7 @@ void PeerGroup::send_to(std::uint32_t rank,
   }
   bytes_sent_.fetch_add(frame.size(), std::memory_order_relaxed);
   messages_sent_.fetch_add(1, std::memory_order_relaxed);
-  obs::metrics()
-      .counter("net.peer.bytes_sent")
-      .add(static_cast<std::int64_t>(frame.size()));
+  tx_bytes_.add(static_cast<std::int64_t>(frame.size()));
 }
 
 void PeerGroup::send_to_all(const std::vector<std::uint8_t>& frame) {

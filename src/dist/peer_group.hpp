@@ -31,6 +31,7 @@
 #include "dist/peer_wire.hpp"
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
+#include "obs/metrics.hpp"
 
 namespace cellnpdp::dist {
 
@@ -148,6 +149,10 @@ class PeerGroup {
   std::atomic<std::uint64_t> bytes_sent_{0};
   std::atomic<std::uint64_t> bytes_received_{0};
   std::atomic<std::uint64_t> messages_sent_{0};
+  // net.peer.bytes_sent / bytes_received, registered when the group is
+  // built: a stats poll during the handshake already sees a peer.
+  obs::Counter& tx_bytes_;
+  obs::Counter& rx_bytes_;
 };
 
 }  // namespace cellnpdp::dist

@@ -1,4 +1,4 @@
-// Wire frames for the peer-execution tier (src/dist): the four symmetric
+// Wire frames for the peer-execution tier (src/dist): the three symmetric
 // frame kinds a distributed solve exchanges, riding the same 20-byte
 // versioned header as every other npdp frame (src/net/protocol.hpp) and
 // decoded with the same bounds-checked WireReader discipline — a payload
@@ -11,12 +11,9 @@
 //                  width, config hash) that every peer must agree on —
 //                  two processes solving different instances must fail
 //                  the handshake, not diverge silently.
-//   BlockAnnounce  a finished block's coordinates, payload size, and
-//                  FNV-1a checksum. Always precedes the matching
-//                  BlockData on the same connection, so the receiver can
-//                  validate geometry and reserve before the big frame.
-//   BlockData      the block itself: coordinates, checksum again, then
-//                  the raw bs*bs cell bytes exactly as they sit in the
+//   BlockData      one finished block, the only frame a block needs:
+//                  coordinates, FNV-1a checksum, then the raw bs*bs
+//                  cell bytes exactly as they sit in the
 //                  BlockedTriangularMatrix slab (one contiguous memcpy
 //                  each way keeps the exchange bit-exact).
 //   PeerDone       the sender has computed every block it owns and has
@@ -47,13 +44,6 @@ struct PeerHello {
   std::int64_t block_side = 0;
   std::uint8_t semiring = 0;   ///< SemiringId as a byte
   std::uint8_t elem_bytes = 0; ///< sizeof(T): 4 = float, 8 = double
-};
-
-struct BlockAnnounce {
-  std::uint32_t bi = 0;
-  std::uint32_t bj = 0;
-  std::uint32_t bytes = 0;
-  std::uint64_t checksum = 0;
 };
 
 /// Decoded view of a BlockData payload. `data` points into the payload
@@ -88,21 +78,6 @@ inline std::vector<std::uint8_t> encode_peer_hello(std::uint64_t id,
   std::vector<std::uint8_t> out;
   out.reserve(net::kHeaderSize + body.size());
   net::encode_header(out, net::MsgType::PeerHello, id,
-                     static_cast<std::uint32_t>(body.size()));
-  out.insert(out.end(), body.begin(), body.end());
-  return out;
-}
-
-inline std::vector<std::uint8_t> encode_block_announce(
-    std::uint64_t id, const BlockAnnounce& a) {
-  std::vector<std::uint8_t> body;
-  net::put_u32(body, a.bi);
-  net::put_u32(body, a.bj);
-  net::put_u32(body, a.bytes);
-  net::put_u64(body, a.checksum);
-  std::vector<std::uint8_t> out;
-  out.reserve(net::kHeaderSize + body.size());
-  net::encode_header(out, net::MsgType::BlockAnnounce, id,
                      static_cast<std::uint32_t>(body.size()));
   out.insert(out.end(), body.begin(), body.end());
   return out;
@@ -180,23 +155,6 @@ inline bool decode_peer_hello(std::uint16_t version, const std::uint8_t* p,
   }
   if (out->n < 1 || out->block_side < 1) {
     *err = "hello: n and block side must be >= 1";
-    return false;
-  }
-  return true;
-}
-
-inline bool decode_block_announce(std::uint16_t version,
-                                  const std::uint8_t* p, std::size_t n,
-                                  BlockAnnounce* out, std::string* err) {
-  if (!wire_detail::require_v2(version, err)) return false;
-  net::WireReader r(p, n);
-  out->bi = r.u32();
-  out->bj = r.u32();
-  out->bytes = r.u32();
-  out->checksum = r.u64();
-  if (!wire_detail::finish(r, err)) return false;
-  if (out->bi > out->bj) {
-    *err = "announce: block above the diagonal (bi > bj)";
     return false;
   }
   return true;

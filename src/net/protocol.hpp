@@ -80,8 +80,8 @@ enum class MsgType : std::uint16_t {
   // serve; peer frames additionally require a v2 header (v1 predates
   // them), which the peer decoder enforces per frame.
   PeerHello = 192,     ///< rank + workload fingerprint, opens a connection
-  BlockAnnounce = 193, ///< a finished block's coords, size and checksum
-  BlockData = 194,     ///< the block payload itself (raw cell bytes)
+  // 193 was BlockAnnounce: retired, never reuse.
+  BlockData = 194,     ///< a finished block: coords, checksum, cell bytes
   PeerDone = 195,      ///< sender computed all owned blocks and saw all others
 };
 
@@ -89,11 +89,6 @@ constexpr bool is_request_type(MsgType t) {
   return t == MsgType::Ping || t == MsgType::Solve || t == MsgType::Fold ||
          t == MsgType::Parse || t == MsgType::Chain || t == MsgType::Bst ||
          t == MsgType::Stats || t == MsgType::StatsRequest;
-}
-
-constexpr bool is_peer_type(MsgType t) {
-  return t == MsgType::PeerHello || t == MsgType::BlockAnnounce ||
-         t == MsgType::BlockData || t == MsgType::PeerDone;
 }
 
 enum class ProtoErrorCode : std::uint16_t {

@@ -10,7 +10,7 @@
 //     (the left and lower neighbours finish last among the inputs); it
 //     stays correct when inputs arrive from elsewhere in any order. An
 //     owner test picks the tasks a caller computes: all of them, or block
-//     column sj mod P (matching cluster_sim's placement).
+//     column sj mod P (a distributed peer, or a cluster_sim node).
 //   - BlockScheduler::run is the worker loop. The calling thread is
 //     worker 0, so a one-worker run spawns no thread. Workers release
 //     dependents themselves, under the one mutex, and go straight on with
@@ -53,7 +53,8 @@
 namespace cellnpdp {
 
 /// Ready state over the task triangle under full-input counting. Not
-/// thread safe; BlockScheduler and the simulated PPE wrap it.
+/// thread safe; BlockScheduler, cellsim's PPE and cluster_sim's nodes
+/// wrap it.
 class BlockTracker {
  public:
   explicit BlockTracker(index_t side, std::uint32_t owners = 1,

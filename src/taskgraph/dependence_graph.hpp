@@ -1,16 +1,16 @@
-// The simplified task dependence graph of the parallel procedure (§IV-B,
-// Fig. 7).
+// The task triangle of the parallel procedure (§IV-B, Fig. 7).
 //
 // Tasks are the scheduling blocks of the upper block triangle of an m x m
-// grid. Task (si,sj) truly depends on every block (si,k) and (k,sj) with
-// si <= k <= sj, but the paper keeps only the two *nearest* predecessors —
-// the task on its left (si,sj-1) and the task below it (si+1,sj) — because
-// the chains along the row and the column transitively cover the full set
-// (DESIGN.md §5). Off-diagonal tasks therefore wait for exactly two
-// notifications; diagonal tasks are ready immediately. The host scheduler
-// counts the full set instead (taskgraph/block_scheduler.hpp), which
-// releases the same tasks at the same completions and also holds when
-// inputs arrive from other processes.
+// grid. Task (si,sj) depends on every block (si,k) and (k,sj) with
+// si <= k <= sj. The paper keeps only the two *nearest* predecessors —
+// the task on its left (si,sj-1) and the task below it (si+1,sj) —
+// because the chains along the row and the column transitively cover the
+// full set when every completion is seen in one order (DESIGN.md §5).
+// Across asynchronous peers that shortcut fails, so every scheduler here
+// — the host's, cellsim's PPE and cluster_sim's nodes — counts the full
+// set through BlockTracker (taskgraph/block_scheduler.hpp), which
+// releases the same tasks at the same completions in one address space.
+// This class only numbers the tasks and lists a task's full set.
 #pragma once
 
 #include <cassert>
@@ -45,25 +45,9 @@ class BlockDependenceGraph {
     return {si, si + id};
   }
 
-  /// Number of predecessors in the simplified graph: 0 on the diagonal,
-  /// 2 elsewhere (the paper's "notified twice").
-  int dependency_count(index_t si, index_t sj) const {
-    return si == sj ? 0 : 2;
-  }
-
-  /// The (at most two) tasks unblocked when (si,sj) finishes: the task to
-  /// its right and the task above it.
-  std::vector<std::pair<index_t, index_t>> dependents(index_t si,
-                                                      index_t sj) const {
-    std::vector<std::pair<index_t, index_t>> out;
-    if (sj + 1 < m_) out.emplace_back(si, sj + 1);
-    if (si - 1 >= 0) out.emplace_back(si - 1, sj);
-    return out;
-  }
-
-  /// The *full* (non-simplified) dependence set of (si,sj): every (si,k) and
-  /// (k,sj) other than the task itself — what BlockTracker counts. Used by
-  /// tests to prove schedule validity.
+  /// The full dependence set of (si,sj): every (si,k) and (k,sj) other
+  /// than the task itself — what BlockTracker counts. Used by tests to
+  /// prove schedule validity.
   std::vector<std::pair<index_t, index_t>> full_dependencies(
       index_t si, index_t sj) const {
     std::vector<std::pair<index_t, index_t>> out;

@@ -2,7 +2,8 @@
 # The stats plane of all three processes: net-serve, net-route over it,
 # and a dist-solve rank 0 of 2 waiting in its handshake for a peer that
 # never starts. Against each, one `npdp top` stays attached while
-# `top --once` and `top --once --prom` must still be answered.
+# `top --once` and `top --once --prom` must still be answered, and each
+# gets its own view: the peer a peers row and no router rows.
 #
 # usage: stats_plane.sh NPDP DIST_PORT
 #   DIST_PORT is rank 0's own peer listener (--peers rejects port 0), so
@@ -80,4 +81,8 @@ watch route
 grep -q 'upstream .*samples' "$DIR/route.top" ||
   fail "route: no upstream samples"
 watch dist
+grep -q 'peers:' "$DIR/dist.top" || fail "dist: no peers row"
+if grep -q 'upstream' "$DIR/dist.top"; then
+  fail "dist: a router row on a peer"
+fi
 echo "stats plane: net-serve, net-route and dist-solve all answered"

@@ -3,8 +3,9 @@
 // loopback sockets is BYTE-identical to the tier-1 serial solve, for every
 // semiring and instance mode. Also covers the failure contract (a peer dying
 // mid-solve surfaces a DistError promptly on the survivors, never a
-// hang or a silently partial matrix) and the cluster-sim oracle's
-// communication-volume prediction against measured wire traffic.
+// hang or a silently partial matrix), the receiver's refusal of a bad
+// block frame, and the cluster-sim oracle's frame-count and volume
+// prediction against measured wire traffic.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -14,8 +15,10 @@
 #include "backend/solver_backend.hpp"
 #include "cluster/cluster_sim.hpp"
 #include "common/rng.hpp"
+#include "common/stopwatch.hpp"
 #include "core/solve.hpp"
 #include "dist/in_process.hpp"
+#include "layout/checksum.hpp"
 #include "net/socket.hpp"
 #include "obs/metrics.hpp"
 
@@ -157,10 +160,12 @@ TEST(DistSolve, StatsAccountForEveryBlockExactlyOnce) {
 }
 
 TEST(DistSolve, MeasuredCommBytesMatchClusterSimPrediction) {
-  // The cluster simulator is the repo's comm-volume oracle: each block is
-  // broadcast once to nodes-1 receivers. Measured wire bytes carry frame
-  // headers and announces on top of the raw payload, so agreement within
-  // 10% is the contract (it lands well under 1% for 16 KiB blocks).
+  // The cluster simulator is the repo's comm oracle: each block is
+  // broadcast once to nodes-1 receivers, one message each. The peers send
+  // exactly that — one BlockData frame per block per peer — plus one
+  // PeerDone per ordered pair of peers (hellos bypass send_to and are not
+  // counted). On top of the raw payload the wire bytes carry only frame
+  // headers, block coordinates and checksums: under 1% for 16 KiB blocks.
   std::vector<float> factors;
   const auto inst = make_instance<float>(SemiringId::MinPlus, Mode::Pure, 256,
                                          13, &factors);
@@ -176,13 +181,19 @@ TEST(DistSolve, MeasuredCommBytesMatchClusterSimPrediction) {
     opts.tuning.block_side = 64;
     std::vector<dist::DistStats> stats;
     (void)dist::solve_distributed_in_process(inst, opts, peers, &stats);
-    std::uint64_t measured = 0;
-    for (const auto& s : stats) measured += s.bytes_sent;
+    std::uint64_t measured = 0, frames = 0;
+    for (const auto& s : stats) {
+      measured += s.bytes_sent;
+      frames += s.messages_sent;
+    }
+    EXPECT_EQ(frames, static_cast<std::uint64_t>(predicted.messages) +
+                          peers * (peers - 1))
+        << peers << " peers";
 
     const double rel =
         std::abs(double(measured) - double(predicted.comm_bytes)) /
         double(predicted.comm_bytes);
-    EXPECT_LT(rel, 0.10) << peers << " peers: predicted "
+    EXPECT_LT(rel, 0.01) << peers << " peers: predicted "
                          << predicted.comm_bytes << " measured " << measured;
   }
 }
@@ -272,6 +283,91 @@ TEST(DistSolve, HandshakeRefusesMismatchedWorkloads) {
   }
   for (auto& t : threads) t.join();
   EXPECT_GE(failures.load(), 1);
+}
+
+TEST(DistSolve, ReceiverRefusesABadBlockFrame) {
+  // Rank 1 is driven by hand: a real handshake, then crafted frames. Each
+  // case must end rank 0's solve with a DistError naming the offence, long
+  // before the stall timeout would.
+  std::vector<float> factors;
+  const auto inst =
+      make_instance<float>(SemiringId::MinPlus, Mode::Pure, 96, 6, &factors);
+  dist::DistOptions opts;
+  opts.tuning.block_side = 32;  // 3x3 blocks; rank 1 owns column 1
+  opts.stall_timeout_ms = 20000;
+  const auto ref = solve_blocked(inst, opts.tuning);
+  const auto bytes = static_cast<std::size_t>(ref.block_bytes());
+  auto block_frame = [&](std::uint32_t bi, std::uint32_t bj) {
+    const float* blk = ref.block(bi, bj);
+    return dist::encode_block_data(1, bi, bj, fnv1a(blk, bytes), blk, bytes);
+  };
+  const auto valid = block_frame(1, 1);
+  auto corrupt = valid;
+  corrupt.back() ^= 1;
+  std::vector<std::uint8_t> retired;  // a frame of the retired type 193
+  net::encode_header(retired, static_cast<net::MsgType>(193), 2, 24);
+  retired.resize(net::kHeaderSize + 24, 0);
+
+  struct Case {
+    const char* offence;
+    std::vector<std::vector<std::uint8_t>> frames;
+  };
+  const Case cases[] = {
+      {"does not own", {block_frame(0, 0)}},
+      {"failed its checksum", {corrupt}},
+      {"duplicate", {valid, valid}},
+      {"unexpected frame type 193", {retired}},
+  };
+  for (const Case& c : cases) {
+    std::vector<dist::PeerEndpoint> eps(2);
+    std::vector<net::FdGuard> lfds(2);
+    std::string err;
+    for (int r = 0; r < 2; ++r) {
+      const int fd = net::tcp_listen("127.0.0.1", 0, &err);
+      ASSERT_GE(fd, 0) << err;
+      lfds[static_cast<std::size_t>(r)].reset(fd);
+      eps[static_cast<std::size_t>(r)].port = net::local_port(fd);
+    }
+    dist::PeerHello h;
+    h.rank = 1;
+    h.nranks = 2;
+    h.n = inst.n;
+    h.block_side = opts.tuning.block_side;
+    h.semiring = static_cast<std::uint8_t>(inst.semiring);
+    h.elem_bytes = 4;
+    dist::PeerGroup g(1, eps, opts.group);
+    g.adopt_listener(lfds[1].release());
+    std::string failure;
+    double seconds = 0;
+    std::thread rank0([&, lfd = std::move(lfds[0])]() mutable {
+      BlockedTriangularMatrix<float> mat(inst.n, opts.tuning.block_side,
+                                         semiring_zero<float>(inst.semiring));
+      dist::PeerGroup group(0, eps, opts.group);
+      group.adopt_listener(lfd.release());
+      Stopwatch sw;
+      try {
+        dist::solve_distributed_into(mat, inst, group, opts);
+      } catch (const dist::DistError& e) {
+        failure = e.what();
+      }
+      seconds = sw.seconds();
+    });
+    std::string sender_error;
+    try {
+      g.establish(h);
+      for (const auto& f : c.frames) g.send_to(0, f);
+    } catch (const dist::DistError& e) {
+      sender_error = e.what();
+    }
+    // Rank 1 keeps its connection open until rank 0 has given up, so the
+    // only fault rank 0 can see is the crafted frame.
+    rank0.join();
+    g.stop();
+    EXPECT_EQ(sender_error, "") << c.offence;
+    EXPECT_NE(failure.find(c.offence), std::string::npos)
+        << "expected \"" << c.offence << "\", got \"" << failure << "\"";
+    EXPECT_LT(seconds, opts.stall_timeout_ms / 4000.0) << c.offence;
+  }
 }
 
 TEST(DistSolve, PeerDyingMidSolveIsACleanErrorNotAHang) {

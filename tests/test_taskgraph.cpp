@@ -33,20 +33,6 @@ TEST_P(GraphShapeTest, TaskIdAndCoordsAreInverse) {
   EXPECT_EQ(g.task_count(), id);
 }
 
-TEST_P(GraphShapeTest, DependentsMirrorDependencyCounts) {
-  BlockDependenceGraph g(GetParam());
-  // Sum over all tasks of |dependents| must equal sum of dependency counts.
-  index_t out_edges = 0, in_edges = 0;
-  for (index_t id = 0; id < g.task_count(); ++id) {
-    const auto [si, sj] = g.coords(id);
-    out_edges += static_cast<index_t>(g.dependents(si, sj).size());
-    in_edges += g.dependency_count(si, sj);
-    // Diagonal tasks are the paper's initially-ready set.
-    EXPECT_EQ(g.dependency_count(si, sj) == 0, si == sj);
-  }
-  EXPECT_EQ(out_edges, in_edges);
-}
-
 TEST_P(GraphShapeTest, SimplifiedEdgesAreSubsetOfFullDependencies) {
   BlockDependenceGraph g(GetParam());
   for (index_t id = 0; id < g.task_count(); ++id) {

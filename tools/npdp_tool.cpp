@@ -558,8 +558,8 @@ void print_stage_row(const char* label, const obs::MetricsSnapshot& snap,
 /// --stats-port: polls the binary StatsRequest/StatsResponse frame over
 /// one connection and renders rps (from counter deltas), per-stage
 /// latency quantiles, cache hit rate, shed/degrade counts, queue depth
-/// and breaker state; a host without serve metrics (net-route, a peer)
-/// gets its replies and an upstream row instead of the serve rows.
+/// and breaker state. A dist-solve peer gets its peers row instead, and
+/// net-route its replies and an upstream row.
 /// --prom switches the output to Prometheus text exposition
 /// (scrape-ready), --once exits after one poll. Counter deltas are
 /// monotone because the host snapshots the whole registry in one pass.
@@ -610,14 +610,18 @@ int cmd_top(cli::Flags& f) {
       }
       obs::write_prometheus_text(std::cout, snap, extra);
     } else {
-      // Responded-request rate from counter deltas: serve.status.* on a
-      // serve host, router replies (forwarded and synthesized) on a host
-      // without serve metrics — a running SolveService always publishes
-      // the serve.queue_depth gauge. The first poll has no baseline, so it
-      // reports totals since start.
+      // The view follows what the host registers at startup: a running
+      // SolveService publishes the serve.queue_depth gauge, and a
+      // dist-solve peer its net.peer.* byte counters; anything else is a
+      // router. Responded-request rate from counter deltas: serve.status.*
+      // on a serve host, router replies (forwarded and synthesized) on a
+      // router. The first poll has no baseline, so it reports totals since
+      // start.
       const bool serve_host = std::any_of(
           snap.gauges.begin(), snap.gauges.end(),
           [](const auto& g) { return g.first.rfind("serve.", 0) == 0; });
+      const bool peer_host =
+          !serve_host && snap.counter_or("net.peer.bytes_sent", -1) >= 0;
       const auto responded_in = [serve_host](const obs::MetricsSnapshot& s) {
         if (!serve_host)
           return s.counter_or("router.replies", 0) +
@@ -644,13 +648,16 @@ int cmd_top(cli::Flags& f) {
       if (!once) std::printf("\033[2J\033[H");
       std::printf("npdp top — %s:%u  (poll %ld, interval %ld ms)\n",
                   host.c_str(), unsigned(port), iter + 1, interval_ms);
-      if (have_prev)
+      if (peer_host) {
+        // A peer answers no requests.
+      } else if (have_prev) {
         std::printf("  rps %.1f (responded %lld, +%lld)\n", rps,
                     static_cast<long long>(responded),
                     static_cast<long long>(responded - responded_prev));
-      else
+      } else {
         std::printf("  responded %lld since start\n",
                     static_cast<long long>(responded));
+      }
       if (serve_host) {
         print_stage_row("queue", snap, "serve.queue_ns");
         print_stage_row("solve", snap, "serve.solve_ns");
@@ -668,7 +675,7 @@ int cmd_top(cli::Flags& f) {
                     static_cast<long long>(
                         snap.counter_or("serve.status.retry-after", 0)),
                     static_cast<long long>(ws.queue_depth));
-      } else {
+      } else if (!peer_host) {
         print_stage_row("upstream", snap, "router.upstream_ns");
         std::printf("  queue depth %lld\n",
                     static_cast<long long>(ws.queue_depth));
@@ -721,14 +728,15 @@ int cmd_top(cli::Flags& f) {
         }
       }
       // Distributed-solve peer traffic, from the net.peer.* counters a
-      // dist-solve peer's stats endpoint exports. The per-source
-      // breakdown comes from the labeled net.peer.blocks_received{peer=K}
-      // counters; totals print even when no labeled rows exist yet.
+      // dist-solve peer's stats endpoint exports: on a peer always (zeros
+      // during the handshake), elsewhere once blocks have flowed. The
+      // per-source breakdown comes from the labeled
+      // net.peer.blocks_received{peer=K} counters.
       const std::int64_t pblk_sent =
           snap.counter_or("net.peer.blocks_sent", 0);
       const std::int64_t pblk_recv =
           snap.counter_or("net.peer.blocks_received", 0);
-      if (pblk_sent + pblk_recv > 0) {
+      if (peer_host || pblk_sent + pblk_recv > 0) {
         std::printf("  peers: blocks sent %lld  received %lld  "
                     "sent %.2f MiB  received %.2f MiB  stalled %.3f s\n",
                     static_cast<long long>(pblk_sent),
@@ -1549,7 +1557,7 @@ int cmd_net_route(cli::Flags& f) {
 /// each passes its own --rank. The instance is the same pure generated
 /// workload `npdp solve` uses, so a --save'd table from any rank can be
 /// cmp'd byte-for-byte against `npdp solve --save` output — that is
-/// exactly what verify.sh's dist phase does.
+/// exactly what tests/dist_plane.sh does.
 int cmd_dist_solve(cli::Flags& f) {
   std::uint32_t rank = 0;
   std::vector<dist::PeerEndpoint> peers;
@@ -1577,6 +1585,10 @@ int cmd_dist_solve(cli::Flags& f) {
   // different --seed fails the handshake instead of assembling garbage.
   opts.config_hash = fnv1a(&w.seed, sizeof(w.seed));
 
+  // Building the group registers the net.peer.* counters, so the stats
+  // port below shows a peer from its first poll.
+  dist::PeerGroup group(rank, peers, opts.group);
+
   // Optional ordinary-protocol stats port so `npdp top` can watch the
   // net.peer.* counters of a live peer.
   std::unique_ptr<net::EpollFrontEnd> stats_fe;
@@ -1594,7 +1606,6 @@ int cmd_dist_solve(cli::Flags& f) {
 
   BlockedTriangularMatrix<float> mat(inst.n, opts.tuning.block_side,
                                      semiring_zero<float>(w.semiring));
-  dist::PeerGroup group(rank, peers, opts.group);
   dist::DistStats ds;
   Stopwatch sw;
   dist::solve_distributed_into(mat, inst, group, opts, &ds);
